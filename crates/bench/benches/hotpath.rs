@@ -1,7 +1,8 @@
 //! Hot-path microbenchmarks for the flat-SoA / scratch-reuse / skip work:
 //!
-//! * `edge_walk` — streaming every block through the AoS `block_at` path
-//!   vs the flat SoA offset-table path,
+//! * `edge_walk` — streaming all P² block slots through the edge store's
+//!   per-block iterator (a sparse-index lookup per slot) vs walking only the
+//!   non-empty blocks' column ranges, as the engine's block plan does,
 //! * `scratch` — a fresh per-iteration accumulator allocation vs refilling
 //!   a reused buffer (the accumulate-mode change),
 //! * `monotone_skip` — full BFS/SSSP/CC runs with dirty-interval skipping
@@ -25,19 +26,6 @@ fn bench_edge_walk(c: &mut Criterion) {
     let flat = grid.flatten();
     let mut group = c.benchmark_group("hotpath_edge_walk_yt_p64");
     group.sample_size(20);
-    group.bench_function("aos_block_at", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for s in 0..P {
-                for d in 0..P {
-                    for e in grid.block_at(s, d).edges() {
-                        acc += u64::from(e.src.raw()) + u64::from(e.dst.raw());
-                    }
-                }
-            }
-            black_box(acc)
-        });
-    });
     group.bench_function("flat_soa", |b| {
         b.iter(|| {
             let mut acc = 0u64;
@@ -46,6 +34,17 @@ fn bench_edge_walk(c: &mut Criterion) {
                     for e in flat.block_edges(s, d) {
                         acc += u64::from(e.src.raw()) + u64::from(e.dst.raw());
                     }
+                }
+            }
+            black_box(acc)
+        });
+    });
+    group.bench_function("non_empty_ranges", |b| {
+        b.iter(|| {
+            let mut acc = 0u64;
+            for (_, range) in flat.block_ranges() {
+                for e in flat.edges_in(range) {
+                    acc += u64::from(e.src.raw()) + u64::from(e.dst.raw());
                 }
             }
             black_box(acc)

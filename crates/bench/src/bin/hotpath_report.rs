@@ -1,8 +1,9 @@
-//! Hot-path speedup report: times the pre-optimisation engine loop (AoS
-//! `block_at` walk, per-PU snapshot clone, per-iteration accumulator
-//! allocation, per-run out-degree rescan — kept here verbatim as the
-//! baseline) against the current engine (flat SoA stream, reused scratch,
-//! dirty-interval skipping) on the monotone algorithms, and appends one
+//! Hot-path speedup report: times the pre-optimisation engine loop (a dense
+//! walk over all P² block slots, one per-block edge lookup each, per-PU
+//! snapshot clone, per-iteration accumulator allocation, per-run out-degree
+//! rescan — kept here as the baseline) against the current engine (plan of
+//! non-empty blocks over the edge store, reused scratch, dirty-interval
+//! skipping) on the monotone algorithms, and appends one
 //! JSON line per invocation to `BENCH_hotpath.json` so the performance
 //! trajectory accumulates across commits.
 //!
@@ -22,7 +23,8 @@ use std::time::Instant;
 
 /// The engine hot path as it stood before the flat-SoA/scratch/skip work —
 /// the measured baseline. Functionally identical to the current engine
-/// (asserted below), just slower.
+/// (asserted below), just slower. Blocks are read through the edge store's
+/// per-block iterator, so the dense P² walk is the only layout cost kept.
 fn legacy_run<P: EdgeProgram>(program: &P, grid: &GridGraph, n: u32) -> (Vec<P::Value>, u32) {
     let meta = GraphMeta {
         num_vertices: grid.num_vertices(),
@@ -68,8 +70,8 @@ fn legacy_run<P: EdgeProgram>(program: &P, grid: &GridGraph, n: u32) -> (Vec<P::
                 ExecutionMode::Accumulate => {
                     let mut acc = vec![program.identity(); nv];
                     for &(src, dst) in blocks {
-                        for e in grid.block_at(src, dst).edges() {
-                            let msg = program.scatter(snapshot[e.src.index()], e, &meta);
+                        for e in grid.flat().block_edges(src, dst) {
+                            let msg = program.scatter(snapshot[e.src.index()], &e, &meta);
                             acc[e.dst.index()] = program.merge(acc[e.dst.index()], msg);
                             if program.undirected() {
                                 let msg =
@@ -83,8 +85,8 @@ fn legacy_run<P: EdgeProgram>(program: &P, grid: &GridGraph, n: u32) -> (Vec<P::
                 ExecutionMode::Monotone => {
                     let mut local = snapshot.clone();
                     for &(src, dst) in blocks {
-                        for e in grid.block_at(src, dst).edges() {
-                            let msg = program.scatter(local[e.src.index()], e, &meta);
+                        for e in grid.flat().block_edges(src, dst) {
+                            let msg = program.scatter(local[e.src.index()], &e, &meta);
                             local[e.dst.index()] = program.merge(local[e.dst.index()], msg);
                             if program.undirected() {
                                 let msg =

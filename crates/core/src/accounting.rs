@@ -157,9 +157,9 @@ pub(crate) fn interval_traffic(
     let dst_load_bits = dst_load_vertices * w.value_bits;
     let src_load_bits = src_load_vertices * w.value_bits;
     let interval_loads = if data_sharing {
-        u64::from(w.p) + u64::from(w.s * w.s) * u64::from(w.n)
+        u64::from(w.p) + u64::from(w.s) * u64::from(w.s) * u64::from(w.n)
     } else {
-        u64::from(w.p) + u64::from(w.s * w.s) * u64::from(w.n) * u64::from(w.n)
+        u64::from(w.p) + u64::from(w.s) * u64::from(w.s) * u64::from(w.n) * u64::from(w.n)
     };
 
     // Off-chip loads stream sequentially; on-chip fills proceed in
@@ -268,7 +268,7 @@ pub(crate) fn onchip_processing(
 /// the numbers an observer sees are the numbers the ledger was charged
 /// for.
 pub(crate) fn router_traffic(w: &Workload) -> (u64, u64) {
-    let steps = u64::from(w.s * w.s) * u64::from(w.n);
+    let steps = u64::from(w.s) * u64::from(w.s) * u64::from(w.n);
     (w.traversals() * w.words_per_value, steps)
 }
 
@@ -564,4 +564,43 @@ pub(crate) fn background(
         + hierarchy.router().map_or(Power::ZERO, Router::leakage)
         + hierarchy.controller_power();
     ledgers.logic.record_background(logic_power * total_time);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SystemConfig;
+    use crate::hierarchy::HierarchySpec;
+
+    /// P = 2^20 over N = 8 PUs gives S² = 2^34 super blocks — past `u32`,
+    /// where the interval-load and reroute counts used to wrap.
+    #[test]
+    fn super_block_counts_do_not_wrap_at_p_2_pow_20() {
+        let spec = HierarchySpec::lower(&SystemConfig::hyve_opt());
+        let hierarchy = HierarchyInstance::build(spec).unwrap();
+        let (n, p) = (8u32, 1u32 << 20);
+        let w = Workload {
+            n,
+            p,
+            s: p / n,
+            nv: u64::from(p),
+            ne: 100,
+            traversal_factor: 1,
+            value_bits: 32,
+            words_per_value: 1,
+            arithmetic: true,
+            accumulate: true,
+            sync_edges: 100,
+            edge_bits: 96 * (1u64 << 40) + 64 * 100,
+        };
+        let steps = (1u64 << 34) * 8;
+        assert_eq!(router_traffic(&w), (100, steps));
+
+        let global = hierarchy.global_vertex();
+        let local = hierarchy.local_vertex().expect("hyve-opt has SRAM");
+        let traffic = interval_traffic(global, local, true, &w, &mut hierarchy.ledgers());
+        let loads = u64::from(p) + steps;
+        let latency = global.costs().read_latency * (loads as f64 / OUTSTANDING_REQUESTS);
+        assert!(traffic.loading >= latency);
+    }
 }

@@ -32,7 +32,7 @@ use crate::pu::ProcessingUnit;
 use crate::stats::{PhaseTimes, RunReport, RunTrace};
 use crate::trace::{SharedSink, TraceChannel, TraceEvent};
 use hyve_algorithms::{EdgeProgram, ExecutionMode, GraphMeta, IterationBound};
-use hyve_graph::{EdgeList, FlatGrid, GridGraph, VertexId};
+use hyve_graph::{EdgeList, EdgeStore, GridGraph, VertexId};
 use hyve_memsim::{FaultPlan, Time};
 
 /// Cost of the one-shot preprocessing step: writing the partitioned edge
@@ -63,8 +63,8 @@ struct PuScratch<V> {
     /// locally dirty, which must veto skipping).
     touched: Vec<bool>,
     /// Whether `values` holds live data for the current iteration. False
-    /// when every block was skipped or empty and the lazy snapshot copy was
-    /// elided; the reduce ignores inactive PUs.
+    /// when every planned block was skipped (or the PU has none) and the
+    /// lazy snapshot copy was elided; the reduce ignores inactive PUs.
     active: bool,
     /// Non-empty blocks this PU walked in the current iteration. Always
     /// maintained (two `u64` writes per block — the `trace_overhead` bench
@@ -276,16 +276,22 @@ impl Engine {
             });
         }
         let schedule = crate::schedule::SuperBlockSchedule::new(p, n).expect("shape checked above");
-        // The contiguous SoA edge stream is memoized on the grid (built on
-        // first run, invalidated on mutation), and the per-run artifacts
-        // (block plan, out-degrees) derive from it in a single pass each
-        // instead of per-iteration rescans.
-        let flat = grid.flat();
-        let plan = BlockPlan::build(flat, &schedule, strategy);
+        // The hot loop walks the grid's edge store directly; a grid with
+        // pending dynamic updates is compacted into a run-local copy first.
+        // The per-run artifacts (block plan, out-degrees) derive from it in
+        // a single pass each instead of per-iteration rescans.
+        let compacted;
+        let store = if grid.flat().is_compact() {
+            grid.flat()
+        } else {
+            compacted = grid.flatten();
+            &compacted
+        };
+        let plan = BlockPlan::build(store, &schedule, strategy);
         let meta = GraphMeta {
             num_vertices: grid.num_vertices(),
             num_edges: grid.num_edges(),
-            out_degrees: flat.out_degrees().to_vec(),
+            out_degrees: store.out_degrees(),
         };
 
         if let Some(sink) = sink {
@@ -301,7 +307,7 @@ impl Engine {
 
         // ---- functional pass -------------------------------------------
         let (values, trace) = self.functional_run(
-            program, grid, flat, &meta, &plan, strategy, skip_clean, sink,
+            program, grid, store, &meta, &plan, strategy, skip_clean, sink,
         );
 
         // ---- cost pass --------------------------------------------------
@@ -402,7 +408,7 @@ impl Engine {
         })
     }
 
-    /// Executes the program over the flattened grid, one snapshot-based
+    /// Executes the program over the grid's edge store, one snapshot-based
     /// pass per iteration.
     ///
     /// Each PU walks its own blocks (in schedule order) against the
@@ -445,7 +451,7 @@ impl Engine {
         &self,
         program: &P,
         grid: &GridGraph,
-        flat: &FlatGrid,
+        store: &EdgeStore,
         meta: &GraphMeta,
         plan: &BlockPlan,
         strategy: ExecutionStrategy,
@@ -453,7 +459,7 @@ impl Engine {
         sink: Option<&SharedSink>,
     ) -> (Vec<P::Value>, RunTrace) {
         let nv = meta.num_vertices as usize;
-        let p = flat.num_intervals() as usize;
+        let p = store.num_intervals() as usize;
         let partition = grid.partition_info();
         let mut values: Vec<P::Value> = (0..meta.num_vertices)
             .map(|v| program.init(VertexId::new(v), meta))
@@ -500,13 +506,14 @@ impl Engine {
             fan_out_mut(strategy, &mut scratch, |pu, scratch| match mode {
                 ExecutionMode::Accumulate => {
                     scratch.active = true;
-                    // Accumulate mode walks every block unconditionally.
+                    // Accumulate mode walks every non-empty block
+                    // unconditionally.
                     scratch.blocks_processed = plan.blocks(pu).len() as u64;
                     scratch.blocks_skipped = 0;
                     scratch.values.fill(program.identity());
                     let acc = &mut scratch.values;
-                    for &(src, dst) in plan.blocks(pu) {
-                        for e in flat.block_edges(src, dst) {
+                    for block in plan.blocks(pu) {
+                        for e in store.edges_in(block.edges.clone()) {
                             let msg = program.scatter(snapshot[e.src.index()], &e, meta);
                             acc[e.dst.index()] = program.merge(acc[e.dst.index()], msg);
                             if undirected {
@@ -522,12 +529,8 @@ impl Engine {
                     scratch.blocks_processed = 0;
                     scratch.blocks_skipped = 0;
                     scratch.touched.fill(false);
-                    for &(src, dst) in plan.blocks(pu) {
-                        let range = flat.block_range(src, dst);
-                        if range.is_empty() {
-                            continue;
-                        }
-                        let (si, di) = (src as usize, dst as usize);
+                    for block in plan.blocks(pu) {
+                        let (si, di) = (block.src as usize, block.dst as usize);
                         let src_clean = !dirty_now[si] && !scratch.touched[si];
                         let clean =
                             src_clean && (!undirected || (!dirty_now[di] && !scratch.touched[di]));
@@ -537,13 +540,13 @@ impl Engine {
                         }
                         scratch.blocks_processed += 1;
                         if !scratch.active {
-                            // Lazy snapshot copy: deferred past skipped and
-                            // empty blocks so a quiescent PU never pays it.
+                            // Lazy snapshot copy: deferred past skipped
+                            // blocks so a quiescent PU never pays it.
                             scratch.values.copy_from_slice(snapshot);
                             scratch.active = true;
                         }
                         let local = &mut scratch.values;
-                        for e in flat.edges_in(range) {
+                        for e in store.edges_in(block.edges.clone()) {
                             let msg = program.scatter(local[e.src.index()], &e, meta);
                             let cur = local[e.dst.index()];
                             let merged = program.merge(cur, msg);

@@ -10,7 +10,8 @@
 //! sequential path regardless of thread count or interleaving.
 
 use crate::schedule::SuperBlockSchedule;
-use hyve_graph::FlatGrid;
+use hyve_graph::EdgeStore;
+use std::ops::Range;
 
 /// How a [`SimulationSession`](crate::session::SimulationSession) executes
 /// the per-PU work of each iteration (and sweeps over configurations).
@@ -104,67 +105,94 @@ where
     });
 }
 
-/// Per-run static-cost memo over the block grid.
+/// One planned block: its grid coordinates and its edges' column range in
+/// the [`EdgeStore`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct PlannedBlock {
+    /// Source interval.
+    pub src: u32,
+    /// Destination interval.
+    pub dst: u32,
+    /// The block's edges in the store's columns.
+    pub edges: Range<usize>,
+}
+
+/// Per-run static-cost memo over the *non-empty* blocks of the grid.
 ///
 /// Algorithm 2's schedule is a pure function of `(P, N)`, and every
 /// iteration walks exactly the same blocks — so the per-PU block lists and
 /// the per-step synchronisation cost (each step costs its *largest* block)
 /// are computed once per run and reused by both the functional pass (every
-/// iteration) and the cost pass, instead of re-deriving the schedule and
-/// re-scanning the grid per iteration.
-/// One PU's `(src_interval, dst_interval)` blocks in schedule order.
-type PuBlocks = Vec<(u32, u32)>;
-
+/// iteration) and the cost pass. Empty blocks never enter the plan: an
+/// empty block has nothing to walk and adds 0 to its step's maximum, so the
+/// plan is O(non-empty blocks + P) and exact.
 #[derive(Debug, Clone)]
 pub(crate) struct BlockPlan {
-    /// For each PU, its `(src_interval, dst_interval)` blocks in schedule
-    /// order (sy → sx → step).
-    pu_blocks: Vec<PuBlocks>,
+    /// For each PU, its non-empty blocks in schedule order (sy → sx → step).
+    pu_blocks: Vec<Vec<PlannedBlock>>,
     /// Σ over steps of the step's maximum block edge count — the
     /// synchronised processing cost of one iteration, in edges.
     sync_edges: u64,
 }
 
 impl BlockPlan {
-    /// Builds the memo over the flattened grid (block sizes are O(1)
-    /// offset-table lookups), fanning the per-PU scans out under `strategy`.
+    /// Builds the memo over a [compact](EdgeStore::is_compact) store,
+    /// fanning the per-PU list construction out under `strategy`.
     pub(crate) fn build(
-        flat: &FlatGrid,
+        store: &EdgeStore,
         schedule: &SuperBlockSchedule,
         strategy: ExecutionStrategy,
     ) -> Self {
+        debug_assert!(store.is_compact(), "plans walk the store's columns");
         let n = schedule.pus();
-        let s = schedule.super_blocks_per_side();
-        let steps = (s as usize) * (s as usize) * (n as usize);
-        // Each PU's schedule is closed-form: at (sy, sx, step) it owns the
-        // block (sx·N + (pu+step) mod N, sy·N + pu).
-        let per_pu: Vec<(PuBlocks, Vec<u64>)> = fan_out(strategy, n as usize, |pu| {
-            let pu = pu as u32;
-            let mut blocks = Vec::with_capacity(steps);
-            let mut edges = Vec::with_capacity(steps);
-            for sy in 0..s {
-                for sx in 0..s {
-                    for step in 0..n {
-                        let src = sx * n + (pu + step) % n;
-                        let dst = sy * n + pu;
-                        blocks.push((src, dst));
-                        edges.push(flat.block_len(src, dst) as u64);
-                    }
+        let p = schedule.intervals() as usize;
+        // Transpose the row-major index into destination columns: a stable
+        // counting sort, so sources ascend within each column.
+        let mut col_start = vec![0usize; p + 1];
+        for (id, _) in store.block_ranges() {
+            col_start[id.dst as usize + 1] += 1;
+        }
+        for i in 0..p {
+            col_start[i + 1] += col_start[i];
+        }
+        let mut next = col_start.clone();
+        let mut by_col = vec![
+            PlannedBlock {
+                src: 0,
+                dst: 0,
+                edges: 0..0
+            };
+            col_start[p]
+        ];
+        for (id, edges) in store.block_ranges() {
+            let slot = &mut next[id.dst as usize];
+            by_col[*slot] = PlannedBlock {
+                src: id.src,
+                dst: id.dst,
+                edges,
+            };
+            *slot += 1;
+        }
+        // PU `pu` owns the destinations ≡ pu (mod N), one per super-block
+        // row sy; within super block sx its step `t` reads source
+        // sx·N + (pu + t) mod N — so each sx group of a column is visited
+        // from source offset `pu` upwards, then wraps around.
+        let pu_blocks = fan_out(strategy, n as usize, |pu| {
+            let mut blocks = Vec::new();
+            for dst in (pu..p).step_by(n as usize) {
+                let column = &by_col[col_start[dst]..col_start[dst + 1]];
+                for group in column.chunk_by(|a, b| a.src / n == b.src / n) {
+                    let wrap = group.partition_point(|b| b.src % n < pu as u32);
+                    blocks.extend_from_slice(&group[wrap..]);
+                    blocks.extend_from_slice(&group[..wrap]);
                 }
             }
-            (blocks, edges)
+            blocks
         });
-        // Reduce per-step costs in fixed PU order (max is exact on u64, so
-        // this is deterministic for any fan-out).
-        let mut step_max = vec![0u64; steps];
-        for (_, edges) in &per_pu {
-            for (m, &e) in step_max.iter_mut().zip(edges) {
-                *m = (*m).max(e);
-            }
-        }
+        let sync_edges = sync_edges(&pu_blocks, n);
         BlockPlan {
-            pu_blocks: per_pu.into_iter().map(|(blocks, _)| blocks).collect(),
-            sync_edges: step_max.iter().sum(),
+            pu_blocks,
+            sync_edges,
         }
     }
 
@@ -173,8 +201,8 @@ impl BlockPlan {
         self.pu_blocks.len()
     }
 
-    /// The blocks PU `pu` executes, in schedule order.
-    pub(crate) fn blocks(&self, pu: usize) -> &[(u32, u32)] {
+    /// The non-empty blocks PU `pu` executes, in schedule order.
+    pub(crate) fn blocks(&self, pu: usize) -> &[PlannedBlock] {
         &self.pu_blocks[pu]
     }
 
@@ -184,11 +212,34 @@ impl BlockPlan {
     }
 }
 
+/// Σ over schedule steps of the step's largest block. Every PU list is in
+/// step order, so an N-way merge visits each step that owns a non-empty
+/// block exactly once; steps holding only empty blocks add 0 and are never
+/// visited. `max` over `u64` is exact, so the sum is too.
+fn sync_edges(pu_blocks: &[Vec<PlannedBlock>], n: u32) -> u64 {
+    // A step is (super-block row sy, super-block column sx, step t).
+    let step_of = |b: &PlannedBlock| (b.dst / n, b.src / n, (b.src % n + n - b.dst % n) % n);
+    let mut heads = vec![0usize; pu_blocks.len()];
+    let mut head_steps: Vec<_> = pu_blocks.iter().map(|l| l.first().map(step_of)).collect();
+    let mut total = 0;
+    while let Some(step) = head_steps.iter().flatten().min().copied() {
+        let mut widest = 0;
+        for (pu, list) in pu_blocks.iter().enumerate() {
+            if head_steps[pu] == Some(step) {
+                widest = widest.max(list[heads[pu]].edges.len() as u64);
+                heads[pu] += 1;
+                head_steps[pu] = list.get(heads[pu]).map(step_of);
+            }
+        }
+        total += widest;
+    }
+    total
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use hyve_graph::{DatasetProfile, GridGraph};
-    use std::collections::HashSet;
 
     #[test]
     fn fan_out_preserves_task_order_for_any_thread_count() {
@@ -233,27 +284,43 @@ mod tests {
     #[test]
     fn plan_matches_schedule_iteration() {
         let graph = DatasetProfile::youtube_scaled().generate(3);
-        let grid = GridGraph::partition(&graph, 16).unwrap();
-        let schedule = SuperBlockSchedule::new(16, 4).unwrap();
-        let plan = BlockPlan::build(&grid.flatten(), &schedule, ExecutionStrategy::Sequential);
+        // Enough intervals that some blocks are empty.
+        let grid = GridGraph::partition(&graph, 64).unwrap();
+        let store = grid.flat();
+        assert!(grid.non_empty_blocks() < grid.num_blocks());
+        let schedule = SuperBlockSchedule::new(64, 4).unwrap();
+        let plan = BlockPlan::build(store, &schedule, ExecutionStrategy::Sequential);
 
-        // Every block appears exactly once across PUs.
-        let mut seen = HashSet::new();
-        for pu in 0..plan.num_pus() {
-            for &(src, dst) in plan.blocks(pu) {
-                assert!(seen.insert((src, dst)), "block ({src},{dst}) planned twice");
-                assert_eq!(dst % 4, pu as u32, "PU owns dst intervals ≡ pu (mod N)");
+        // Each PU's list is the dense schedule order filtered to the
+        // non-empty blocks, with each block's column range inline.
+        let mut dense: Vec<Vec<(u32, u32)>> = vec![Vec::new(); 4];
+        for (_, assignments) in schedule.iter() {
+            for a in assignments {
+                if store.block_len(a.src_interval, a.dst_interval) > 0 {
+                    dense[a.pu as usize].push((a.src_interval, a.dst_interval));
+                }
             }
         }
-        assert_eq!(seen.len(), 16 * 16);
+        let mut planned = 0;
+        for (pu, expect) in dense.iter().enumerate() {
+            let got: Vec<(u32, u32)> = plan.blocks(pu).iter().map(|b| (b.src, b.dst)).collect();
+            assert_eq!(&got, expect, "PU {pu} order");
+            for b in plan.blocks(pu) {
+                let edges: Vec<_> = store.edges_in(b.edges.clone()).collect();
+                let direct: Vec<_> = store.block_edges(b.src, b.dst).collect();
+                assert_eq!(edges, direct);
+            }
+            planned += got.len();
+        }
+        assert_eq!(planned, grid.non_empty_blocks());
 
-        // The sync cost matches a direct scan over the schedule.
+        // The sync cost matches a direct scan over the dense schedule.
         let direct: u64 = schedule
             .iter()
             .map(|(_, assignments)| {
                 assignments
                     .iter()
-                    .map(|a| grid.block_at(a.src_interval, a.dst_interval).len() as u64)
+                    .map(|a| store.block_len(a.src_interval, a.dst_interval) as u64)
                     .max()
                     .unwrap_or(0)
             })
@@ -274,5 +341,14 @@ mod tests {
                 assert_eq!(par.blocks(pu), base.blocks(pu));
             }
         }
+    }
+
+    #[test]
+    fn empty_grid_plans_nothing() {
+        let grid = GridGraph::partition(&hyve_graph::EdgeList::new(16), 16).unwrap();
+        let schedule = SuperBlockSchedule::new(16, 4).unwrap();
+        let plan = BlockPlan::build(grid.flat(), &schedule, ExecutionStrategy::Sequential);
+        assert!((0..plan.num_pus()).all(|pu| plan.blocks(pu).is_empty()));
+        assert_eq!(plan.sync_edges(), 0);
     }
 }

@@ -325,7 +325,7 @@ impl SimulationSession {
 mod tests {
     use super::*;
     use hyve_algorithms::{Bfs, PageRank};
-    use hyve_graph::{DatasetProfile, VertexId};
+    use hyve_graph::{DatasetProfile, Edge, VertexId};
 
     fn graph() -> EdgeList {
         DatasetProfile::youtube_scaled().generate(5)
@@ -518,6 +518,53 @@ mod tests {
             .map(|s| s.blocks_skipped)
             .sum();
         assert!(skipped > 0, "BFS opts into skipping; some blocks must skip");
+    }
+
+    #[test]
+    fn accumulate_trace_counts_the_non_empty_blocks_walked() {
+        use crate::trace::SharedRecorder;
+        // P = 64 leaves many of YT's 4096 blocks empty.
+        let grid = GridGraph::partition(&graph(), 64).unwrap();
+        assert!(grid.non_empty_blocks() < grid.num_blocks());
+        let recorder = SharedRecorder::new();
+        let session = SimulationSession::builder(SystemConfig::hyve_opt())
+            .with_trace(recorder.clone())
+            .build()
+            .unwrap();
+        let report = session.run(&PageRank::new(4), &grid).unwrap();
+        let samples = recorder.artifact().iterations;
+        let processed: u64 = samples.iter().map(|s| s.blocks_processed).sum();
+        let expect = u64::from(report.iterations) * grid.non_empty_blocks() as u64;
+        assert_eq!(processed, expect);
+        assert!(samples.iter().all(|s| s.blocks_skipped == 0));
+    }
+
+    #[test]
+    fn pathological_p_runs_in_memory_proportional_to_e_plus_p() {
+        // P = |V| = 2^20 is 2^40 blocks: any P²-sized allocation or walk
+        // in partition, plan or run would abort or never finish.
+        let nv = 1u32 << 20;
+        let edges = (0..100u32).map(|i| Edge::new(i * 10_007 % nv, i * 7_919 % nv));
+        let g = EdgeList::from_edges(nv, edges).unwrap();
+        let grid = GridGraph::partition(&g, nv).unwrap();
+        assert_eq!(grid.num_blocks(), 1usize << 40);
+        assert_eq!(grid.edge_storage_bits(), 96 * (1u64 << 40) + 64 * 100);
+        let recorder = crate::trace::SharedRecorder::new();
+        let session = SimulationSession::builder(SystemConfig::hyve_opt())
+            .with_trace(recorder.clone())
+            .build()
+            .unwrap();
+        let (report, ranks) = session.run_with_values(&PageRank::new(2), &grid).unwrap();
+        assert_eq!(report.iterations, 2);
+        assert_eq!(ranks.len(), nv as usize);
+        // (P/N)² · N = 2^37 reroute steps per iteration: past u32.
+        let router = recorder.artifact().router.expect("hyve-opt shares sources");
+        assert_eq!(router.reroutes, 2 * (1u64 << 37));
+        let (_, reference) = session
+            .run_with_values(&PageRank::new(2), &GridGraph::partition(&g, 8).unwrap())
+            .unwrap();
+        // Every destination has one in-edge, so the sums are order-free.
+        assert_eq!(ranks, reference);
     }
 
     #[test]

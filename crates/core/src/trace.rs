@@ -116,9 +116,12 @@ pub enum TraceEvent {
         iteration: u32,
         /// Whether any vertex value changed.
         changed: bool,
-        /// Non-empty blocks the PUs actually walked.
+        /// Non-empty blocks the PUs actually walked, in both execution
+        /// modes: empty blocks are never planned, so they never count
+        /// (accumulate runs walk every non-empty block each iteration).
         blocks_processed: u64,
-        /// Non-empty blocks elided by dirty-interval skipping.
+        /// Non-empty blocks elided by dirty-interval skipping (monotone
+        /// mode only; always 0 for accumulate runs).
         blocks_skipped: u64,
     },
     /// Run-total phase time split (already scaled by iterations).
@@ -216,9 +219,9 @@ pub struct IterationSample {
     pub iteration: u32,
     /// Whether any vertex value changed.
     pub changed: bool,
-    /// Non-empty blocks walked.
+    /// Non-empty blocks walked (empty blocks are never planned).
     pub blocks_processed: u64,
-    /// Non-empty blocks skipped as clean.
+    /// Non-empty blocks skipped as clean (monotone mode only).
     pub blocks_skipped: u64,
 }
 

@@ -5,13 +5,19 @@
 //!
 //! * **Add edge** — appended at the end of its block's memory space; reserved
 //!   slack (30%) makes this O(1), overflowing into linked segments.
-//! * **Delete edge** — replaced by the last edge of its block, O(1).
+//! * **Delete edge** — replaced by the last edge of its block, O(1) beyond
+//!   the scan that finds it.
 //! * **Add vertex** — consumes a reserved vertex slot; when the reserve is
 //!   exhausted a full re-preprocessing is flagged (vertex access must stay
 //!   sequential, so linking is not an option for vertices).
 //! * **Delete vertex** — O(1): the value is marked invalid (tombstoned, §5:
 //!   "set to invalid, e.g. −1 for PageRank"); incident edges become inert
 //!   and are counted as changed via the maintained degree.
+//!
+//! Edge updates land in the grid's [`EdgeStore`](crate::EdgeStore) overlay:
+//! only touched blocks carry state (overwritten slots, appended edges, slack
+//! and overflow counters), so the structure never holds a second copy of
+//! the edge set, and every read sees the updated blocks in place.
 
 use crate::error::GraphError;
 use crate::grid::GridGraph;
@@ -98,10 +104,10 @@ impl DynamicGrid {
         let slots = (f64::from(grid.num_vertices()) * vertex_reserve_fraction).ceil() as u32;
         let tombstones = vec![false; grid.num_vertices() as usize];
         let mut degrees = vec![0u32; grid.num_vertices() as usize];
-        for e in grid.iter_edges() {
+        grid.iter_edges().for_each(|e| {
             degrees[e.src.index()] += 1;
             degrees[e.dst.index()] += 1;
-        }
+        });
         DynamicGrid {
             logical_vertices: grid.num_vertices(),
             grid,
@@ -122,12 +128,12 @@ impl DynamicGrid {
     /// Flattens the grid to an edge list, excluding edges incident to
     /// tombstoned vertices.
     pub fn live_edge_list(&self) -> crate::edgelist::EdgeList {
-        let mut list = crate::edgelist::EdgeList::new(self.logical_vertices);
+        let capacity = self.grid.num_edges() as usize;
+        let mut list = crate::edgelist::EdgeList::with_capacity(self.logical_vertices, capacity);
         list.extend(
             self.grid
                 .iter_edges()
-                .filter(|e| !self.tombstones[e.src.index()] && !self.tombstones[e.dst.index()])
-                .copied(),
+                .filter(|e| !self.tombstones[e.src.index()] && !self.tombstones[e.dst.index()]),
         );
         list
     }
@@ -216,8 +222,7 @@ impl DynamicGrid {
             }
         }
         let (bs, bd) = (self.interval_of(e.src.raw()), self.interval_of(e.dst.raw()));
-        let fit = self.grid.block_at_mut(bs, bd).push_edge(e);
-        self.grid.add_edge_count(1);
+        let fit = self.grid.store.push_edge(bs, bd, e);
         self.degrees[e.src.index()] += 1;
         self.degrees[e.dst.index()] += 1;
         self.edges_changed += 1;
@@ -232,10 +237,8 @@ impl DynamicGrid {
         self.check_vertex(src)?;
         self.check_vertex(dst)?;
         let (bs, bd) = (self.interval_of(src), self.interval_of(dst));
-        let removed = self.grid.block_at_mut(bs, bd).remove_edge(src, dst);
-        match removed {
+        match self.grid.store.remove_edge(bs, bd, src, dst) {
             Some(_) => {
-                self.grid.add_edge_count(-1);
                 self.degrees[src as usize] = self.degrees[src as usize].saturating_sub(1);
                 self.degrees[dst as usize] = self.degrees[dst as usize].saturating_sub(1);
                 self.edges_changed += 1;
@@ -259,9 +262,8 @@ impl DynamicGrid {
         } else {
             // §5: out of reserved space ⇒ full re-preprocessing, now with
             // every logical vertex materialised.
-            let edges = self.grid.to_edge_list();
             let mut list = crate::edgelist::EdgeList::new(self.logical_vertices);
-            list.extend(edges.iter().copied());
+            list.extend(self.grid.iter_edges());
             let p = self.grid.num_intervals();
             let scheme = self.grid.partition_info().scheme();
             self.grid = GridGraph::partition_with_scheme(&list, p, scheme)?;
@@ -322,7 +324,7 @@ impl DynamicGrid {
                 self.logical_vertices
             ));
         }
-        let stored: u64 = self.grid.blocks().map(|b| b.len() as u64).sum();
+        let stored: u64 = self.grid.flat().blocks().map(|(_, b)| b.len() as u64).sum();
         if stored != self.grid.num_edges() {
             return fail(format!(
                 "blocks hold {stored} edges but the grid counts {}",
@@ -390,7 +392,7 @@ mod tests {
         let out = d.apply(Mutation::AddEdge(Edge::new(6, 1))).unwrap();
         assert_eq!(out, MutationOutcome::InPlace);
         assert_eq!(d.grid().num_edges(), 7);
-        assert_eq!(d.grid().block_at(3, 0).len(), 1);
+        assert_eq!(d.grid().flat().block_len(3, 0), 1);
         assert_eq!(d.edges_changed(), 1);
     }
 
@@ -503,7 +505,7 @@ mod tests {
         d.apply(Mutation::AddEdge(Edge::new(5, 5))).unwrap();
         d.apply(Mutation::RemoveEdge { src: 0, dst: 1 }).unwrap();
         assert_eq!(d.grid().num_edges(), before + 1);
-        let actual: u64 = d.grid().blocks().map(|b| b.len() as u64).sum();
+        let actual: u64 = d.grid().flat().blocks().map(|(_, b)| b.len() as u64).sum();
         assert_eq!(actual, d.grid().num_edges());
     }
 }

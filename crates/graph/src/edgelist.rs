@@ -67,6 +67,14 @@ impl EdgeList {
         Ok(())
     }
 
+    /// An empty edge list with room for `capacity` edges.
+    pub(crate) fn with_capacity(num_vertices: u32, capacity: usize) -> Self {
+        EdgeList {
+            num_vertices,
+            edges: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Number of vertices.
     pub fn num_vertices(&self) -> u32 {
         self.num_vertices
@@ -167,7 +175,10 @@ impl Extend<Edge> for EdgeList {
     /// Extends without validation — callers who need range checking should
     /// use [`EdgeList::try_push`].
     fn extend<I: IntoIterator<Item = Edge>>(&mut self, iter: I) {
-        self.edges.extend(iter);
+        // Internal iteration, so adaptors over grid blocks can stream.
+        let iter = iter.into_iter();
+        self.edges.reserve(iter.size_hint().0);
+        iter.for_each(|e| self.edges.push(e));
     }
 }
 

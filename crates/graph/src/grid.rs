@@ -1,107 +1,18 @@
 //! The [`GridGraph`]: edges materialised into the P×P interval-block grid
 //! (paper Fig. 1 right, §3.4 data organisation).
 //!
-//! Each block is stored as a header (source interval index, destination
-//! interval index, edge count) followed by an edge array — exactly the
-//! paper's §3.4 layout — plus *reserved slack space* (default 30%) so that
-//! dynamic edge insertions are O(1) until the slack runs out, after which
-//! extra segments are chained from the block end (§5).
+//! The grid is a vertex partition plus one [`EdgeStore`]: contiguous edge
+//! columns in block order behind a sparse index of the non-empty blocks, so
+//! partitioning, storage and every walk over the grid cost O(E + P), never
+//! O(P²). Dynamic updates (§5) go through [`DynamicGrid`](crate::DynamicGrid)
+//! into the store's overlay of touched blocks, each with its reserved slack
+//! (default 30%) and linked overflow segments.
 
 use crate::edgelist::EdgeList;
 use crate::error::GraphError;
-use crate::partition::{BlockId, IntervalPartition, PartitionScheme};
+use crate::partition::{IntervalPartition, PartitionScheme};
+use crate::store::EdgeStore;
 use crate::types::Edge;
-
-/// Default fraction of extra capacity reserved per block for future
-/// insertions (§5: "e.g., 30% of a block size").
-pub const DEFAULT_RESERVE_FRACTION: f64 = 0.30;
-
-/// One edge block of the grid.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Block {
-    id: BlockId,
-    edges: Vec<Edge>,
-    /// Capacity the block was laid out with (initial edges + slack).
-    reserved_capacity: usize,
-    /// Number of extra segments chained past the reserved space.
-    overflow_segments: u32,
-}
-
-impl Block {
-    fn new(id: BlockId, edges: Vec<Edge>, reserve_fraction: f64) -> Self {
-        let slack = (edges.len() as f64 * reserve_fraction).ceil() as usize;
-        // Even empty blocks get a minimal slot so additions stay O(1).
-        let reserved_capacity = (edges.len() + slack).max(4);
-        Block {
-            id,
-            edges,
-            reserved_capacity,
-            overflow_segments: 0,
-        }
-    }
-
-    /// The block's grid coordinates.
-    pub fn id(&self) -> BlockId {
-        self.id
-    }
-
-    /// The edges currently in the block.
-    pub fn edges(&self) -> &[Edge] {
-        &self.edges
-    }
-
-    /// Number of edges in the block.
-    pub fn len(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// True if the block holds no edges.
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-
-    /// Capacity laid out for the block (initial edges + slack).
-    pub fn reserved_capacity(&self) -> usize {
-        self.reserved_capacity
-    }
-
-    /// Number of overflow segments chained onto this block.
-    pub fn overflow_segments(&self) -> u32 {
-        self.overflow_segments
-    }
-
-    /// Appends an edge. Returns `true` if the append fit in reserved space,
-    /// `false` if a new overflow segment had to be linked (§5 "when the
-    /// reserved memory space is out").
-    pub(crate) fn push_edge(&mut self, e: Edge) -> bool {
-        self.edges.push(e);
-        if self.edges.len() <= self.reserved_capacity {
-            true
-        } else {
-            // Chain a new segment sized like the slack region.
-            self.overflow_segments += 1;
-            self.reserved_capacity = self.edges.len()
-                + ((self.edges.len() as f64 * DEFAULT_RESERVE_FRACTION).ceil() as usize).max(4);
-            false
-        }
-    }
-
-    /// Removes the first edge matching (src, dst) by swapping in the last
-    /// edge of the block (§5 deletion). Returns the removed edge.
-    pub(crate) fn remove_edge(&mut self, src: u32, dst: u32) -> Option<Edge> {
-        let pos = self
-            .edges
-            .iter()
-            .position(|e| e.src.raw() == src && e.dst.raw() == dst)?;
-        Some(self.edges.swap_remove(pos))
-    }
-
-    /// Bits occupied in edge memory: 3 × 32-bit header + 64 bits per edge
-    /// slot actually written (paper §3.4).
-    pub fn storage_bits(&self) -> u64 {
-        96 + Edge::BITS * self.edges.len() as u64
-    }
-}
 
 /// A graph partitioned into a P×P grid of edge blocks.
 ///
@@ -112,27 +23,25 @@ impl Block {
 /// let g = EdgeList::from_edges(8, [Edge::new(2, 4), Edge::new(0, 7)])?;
 /// let grid = GridGraph::partition(&g, 4)?;
 /// // e2.4 lands in B1.2 exactly as the paper's Fig. 1 shows.
-/// assert_eq!(grid.block_at(1, 2).len(), 1);
+/// assert_eq!(grid.flat().block_len(1, 2), 1);
+/// assert_eq!((grid.num_blocks(), grid.non_empty_blocks()), (16, 2));
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridGraph {
     partition: IntervalPartition,
-    blocks: Vec<Block>,
-    num_edges: u64,
-    /// Lazily-built SoA image served by [`GridGraph::flat`]; reset by the
-    /// dynamic-update mutators so it can never go stale.
-    flat: std::sync::OnceLock<crate::flat::FlatGrid>,
+    /// Written in place by [`DynamicGrid`](crate::DynamicGrid) (§5).
+    pub(crate) store: EdgeStore,
 }
 
-/// The cache is derived state: equality is over the grid contents only.
-impl PartialEq for GridGraph {
-    fn eq(&self, other: &Self) -> bool {
-        self.partition == other.partition
-            && self.blocks == other.blocks
-            && self.num_edges == other.num_edges
-    }
+/// Bits of a §3.4 edge memory holding `p²` block headers (3 × 32 bits) and
+/// `edges` 64-bit edges, or `None` if that overflows `u64`.
+fn edge_storage_bits(p: u32, edges: u64) -> Option<u64> {
+    let blocks = u64::from(p) * u64::from(p);
+    96u64
+        .checked_mul(blocks)?
+        .checked_add(Edge::BITS.checked_mul(edges)?)
 }
 
 impl GridGraph {
@@ -140,46 +49,33 @@ impl GridGraph {
     ///
     /// # Errors
     ///
-    /// Propagates [`IntervalPartition::new`] errors.
+    /// See [`partition_with_scheme`](Self::partition_with_scheme).
     pub fn partition(g: &EdgeList, p: u32) -> Result<Self, GraphError> {
         Self::partition_with_scheme(g, p, PartitionScheme::Contiguous)
     }
 
-    /// Partitions with an explicit interval scheme.
+    /// Partitions with an explicit interval scheme, in O(E + P) time and
+    /// memory.
     ///
     /// # Errors
     ///
-    /// Propagates [`IntervalPartition::new`] errors.
+    /// Propagates [`IntervalPartition::new`] errors;
+    /// [`GraphError::InvalidPartition`] when the grid's edge-memory size
+    /// (`96·P² + 64·E` bits) does not fit in a `u64`.
     pub fn partition_with_scheme(
         g: &EdgeList,
         p: u32,
         scheme: PartitionScheme,
     ) -> Result<Self, GraphError> {
         let partition = IntervalPartition::new(g.num_vertices(), p, scheme)?;
-        // Counting sort into P² buckets: one pass to size, one to fill.
-        let p_usize = p as usize;
-        let mut counts = vec![0usize; p_usize * p_usize];
-        for e in g.iter() {
-            counts[partition.block_of(e).linear(p)] += 1;
+        if edge_storage_bits(p, g.len() as u64).is_none() {
+            return Err(GraphError::InvalidPartition {
+                intervals: p,
+                reason: "edge storage of 96·P² + 64·E bits overflows u64",
+            });
         }
-        let mut buckets: Vec<Vec<Edge>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-        for e in g.iter() {
-            buckets[partition.block_of(e).linear(p)].push(*e);
-        }
-        let blocks = buckets
-            .into_iter()
-            .enumerate()
-            .map(|(i, edges)| {
-                let id = BlockId::new((i / p_usize) as u32, (i % p_usize) as u32);
-                Block::new(id, edges, DEFAULT_RESERVE_FRACTION)
-            })
-            .collect();
-        Ok(GridGraph {
-            partition,
-            blocks,
-            num_edges: g.len() as u64,
-            flat: std::sync::OnceLock::new(),
-        })
+        let store = EdgeStore::build(g, &partition);
+        Ok(GridGraph { partition, store })
     }
 
     /// The vertex partition underlying the grid.
@@ -199,61 +95,30 @@ impl GridGraph {
 
     /// Number of edges.
     pub fn num_edges(&self) -> u64 {
-        self.num_edges
+        self.store.num_edges()
     }
 
-    /// Total number of blocks (P²).
+    /// Total number of blocks (P²), empty ones included.
     pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
+        let p = self.num_intervals() as usize;
+        p * p
     }
 
     /// Number of blocks holding at least one edge.
     pub fn non_empty_blocks(&self) -> usize {
-        self.blocks.iter().filter(|b| !b.is_empty()).count()
+        self.store.non_empty_blocks()
     }
 
-    /// The block at grid coordinates (src interval, dst interval).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either coordinate is ≥ P.
-    pub fn block_at(&self, src: u32, dst: u32) -> &Block {
-        let p = self.num_intervals();
-        assert!(
-            src < p && dst < p,
-            "block ({src},{dst}) out of a {p}x{p} grid"
-        );
-        &self.blocks[BlockId::new(src, dst).linear(p)]
+    /// Iterates over every edge of the grid, block by block (row-major).
+    pub fn iter_edges(&self) -> impl Iterator<Item = Edge> + '_ {
+        self.store.iter_edges()
     }
 
-    pub(crate) fn block_at_mut(&mut self, src: u32, dst: u32) -> &mut Block {
-        self.flat.take(); // block contents may change under the caller
-        let p = self.num_intervals();
-        assert!(
-            src < p && dst < p,
-            "block ({src},{dst}) out of a {p}x{p} grid"
-        );
-        &mut self.blocks[BlockId::new(src, dst).linear(p)]
-    }
-
-    pub(crate) fn add_edge_count(&mut self, delta: i64) {
-        self.flat.take();
-        self.num_edges = self.num_edges.wrapping_add_signed(delta);
-    }
-
-    /// Iterates over all blocks in row-major order.
-    pub fn blocks(&self) -> impl Iterator<Item = &Block> {
-        self.blocks.iter()
-    }
-
-    /// Iterates over every edge of the grid (block by block).
-    pub fn iter_edges(&self) -> impl Iterator<Item = &Edge> {
-        self.blocks.iter().flat_map(|b| b.edges().iter())
-    }
-
-    /// Total edge-memory footprint in bits (§3.4 layout).
+    /// Total edge-memory footprint in bits (§3.4 layout): a 96-bit header
+    /// for each of the P² blocks plus 64 bits per edge, computed
+    /// arithmetically (saturating at `u64::MAX`).
     pub fn edge_storage_bits(&self) -> u64 {
-        self.blocks.iter().map(Block::storage_bits).sum()
+        edge_storage_bits(self.num_intervals(), self.num_edges()).unwrap_or(u64::MAX)
     }
 
     /// Vertex-memory footprint in bits for `value_bits`-wide vertex values:
@@ -262,27 +127,23 @@ impl GridGraph {
         u64::from(self.num_intervals()) * 64 + u64::from(self.num_vertices()) * value_bits
     }
 
-    /// Snapshots the grid into an owned contiguous structure-of-arrays
-    /// [`FlatGrid`](crate::FlatGrid). O(E) every call; prefer
-    /// [`GridGraph::flat`] on hot paths.
-    pub fn flatten(&self) -> crate::flat::FlatGrid {
-        crate::flat::FlatGrid::from_grid(self)
+    /// An owned copy of the store with pending dynamic updates folded into
+    /// its columns. O(E); prefer [`GridGraph::flat`] on hot paths.
+    pub fn flatten(&self) -> EdgeStore {
+        self.store.compacted()
     }
 
-    /// The memoized structure-of-arrays image of this grid — the layout the
-    /// simulator's hot loop walks. Built on first use (O(E)) and cached for
-    /// the life of the grid; the dynamic-update mutators drop the cache, so
-    /// the next call re-flattens the current contents.
-    pub fn flat(&self) -> &crate::flat::FlatGrid {
-        self.flat
-            .get_or_init(|| crate::flat::FlatGrid::from_grid(self))
+    /// The grid's edge store — the columns and sparse block index the
+    /// simulator's hot loop walks. Zero-cost.
+    pub fn flat(&self) -> &EdgeStore {
+        &self.store
     }
 
     /// Flattens the grid back into an edge list (inverse of partitioning,
     /// up to edge order).
     pub fn to_edge_list(&self) -> EdgeList {
         let mut list = EdgeList::new(self.num_vertices());
-        list.extend(self.iter_edges().copied());
+        list.extend(self.iter_edges());
         list
     }
 }
@@ -290,9 +151,10 @@ impl GridGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::BlockId;
 
     /// The paper's Fig. 1 graph.
-    fn fig1() -> EdgeList {
+    pub(crate) fn fig1() -> EdgeList {
         EdgeList::from_edges(
             8,
             [
@@ -321,28 +183,38 @@ mod tests {
         assert_eq!(grid.num_edges(), 11);
         // Paper Fig. 1: B0.0 = {1->0}, B0.3 = {0->7}, B1.1 = {2->3},
         // B1.2 = {2->4, 3->4}, B1.3 = {3->7}, B2.0 = {4->1}, B2.2 = {4->5},
-        // B3.0 = {6->2 is B3.1! 6 in I3, 2 in I1}, ...
-        assert_eq!(grid.block_at(0, 0).len(), 1);
-        assert_eq!(grid.block_at(0, 3).len(), 1);
-        assert_eq!(grid.block_at(1, 1).len(), 1);
-        assert_eq!(grid.block_at(1, 2).len(), 2);
-        assert_eq!(grid.block_at(1, 3).len(), 1);
-        assert_eq!(grid.block_at(2, 0).len(), 1);
-        assert_eq!(grid.block_at(2, 2).len(), 1);
-        assert_eq!(grid.block_at(3, 1).len(), 1);
-        assert_eq!(grid.block_at(3, 0).len(), 2); // 6->0 and 7->1
-        let total: usize = grid.blocks().map(Block::len).sum();
-        assert_eq!(total, 11);
+        // B3.0 = {6->0, 7->1}, B3.1 = {6->2}.
+        let expect = [
+            ((0, 0), 1),
+            ((0, 3), 1),
+            ((1, 1), 1),
+            ((1, 2), 2),
+            ((1, 3), 1),
+            ((2, 0), 1),
+            ((2, 2), 1),
+            ((3, 0), 2),
+            ((3, 1), 1),
+        ];
+        let blocks: Vec<_> = grid
+            .flat()
+            .blocks()
+            .map(|(id, edges)| ((id.src, id.dst), edges.len()))
+            .collect();
+        assert_eq!(blocks, expect);
+        assert_eq!(grid.non_empty_blocks(), 9);
+        assert_eq!(grid.flat().block_len(2, 1), 0);
     }
 
     #[test]
-    fn every_edge_lands_in_its_block() {
+    fn every_edge_lands_in_its_block_in_edge_list_order() {
         let grid = GridGraph::partition(&fig1(), 4).unwrap();
-        for block in grid.blocks() {
-            for e in block.edges() {
-                assert_eq!(grid.partition_info().block_of(e), block.id());
+        for (id, edges) in grid.flat().blocks() {
+            for e in edges {
+                assert_eq!(grid.partition_info().block_of(&e), id);
             }
         }
+        let b30: Vec<Edge> = grid.flat().block_edges(3, 0).collect();
+        assert_eq!(b30, [Edge::new(6, 0), Edge::new(7, 1)]);
     }
 
     #[test]
@@ -357,45 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn reserved_slack_present() {
-        let grid = GridGraph::partition(&fig1(), 4).unwrap();
-        for b in grid.blocks() {
-            assert!(b.reserved_capacity() >= b.len());
-            assert_eq!(b.overflow_segments(), 0);
-        }
-    }
-
-    #[test]
-    fn block_push_overflow_chains_segments() {
-        let mut b = Block::new(BlockId::new(0, 0), vec![Edge::new(0, 1)], 0.3);
-        let cap = b.reserved_capacity();
-        let mut overflowed = 0;
-        for i in 0..20 {
-            if !b.push_edge(Edge::new(0, i)) {
-                overflowed += 1;
-            }
-        }
-        assert!(overflowed >= 1, "must overflow past capacity {cap}");
-        assert_eq!(b.overflow_segments(), overflowed);
-        assert_eq!(b.len(), 21);
-    }
-
-    #[test]
-    fn block_remove_swaps_last() {
-        let mut b = Block::new(
-            BlockId::new(0, 0),
-            vec![Edge::new(0, 1), Edge::new(0, 2), Edge::new(0, 3)],
-            0.3,
-        );
-        let removed = b.remove_edge(0, 1).unwrap();
-        assert_eq!(removed, Edge::new(0, 1));
-        assert_eq!(b.len(), 2);
-        // Last edge (0,3) moved into slot 0.
-        assert_eq!(b.edges()[0], Edge::new(0, 3));
-        assert!(b.remove_edge(9, 9).is_none());
-    }
-
-    #[test]
     fn storage_accounting() {
         let grid = GridGraph::partition(&fig1(), 4).unwrap();
         // 16 block headers of 96 bits + 11 edges of 64 bits.
@@ -407,14 +240,14 @@ mod tests {
     fn single_interval_grid() {
         let grid = GridGraph::partition(&fig1(), 1).unwrap();
         assert_eq!(grid.num_blocks(), 1);
-        assert_eq!(grid.block_at(0, 0).len(), 11);
+        assert_eq!(grid.flat().block_len(0, 0), 11);
     }
 
     #[test]
     #[should_panic(expected = "out of a")]
-    fn block_at_out_of_range_panics() {
+    fn block_lookup_out_of_range_panics() {
         let grid = GridGraph::partition(&fig1(), 2).unwrap();
-        let _ = grid.block_at(2, 0);
+        let _ = grid.flat().block_len(2, 0);
     }
 
     #[test]
@@ -423,31 +256,93 @@ mod tests {
         let grid = GridGraph::partition(&g, 4).unwrap();
         assert_eq!(grid.num_edges(), 0);
         assert_eq!(grid.non_empty_blocks(), 0);
+        assert_eq!(grid.flat().blocks().count(), 0);
+        assert_eq!(grid.flat().out_degrees(), vec![0; 8]);
     }
 
     #[test]
-    fn flat_is_memoized_until_the_grid_mutates() {
-        let mut grid = GridGraph::partition(&fig1(), 4).unwrap();
-        let first = grid.flat() as *const _;
-        assert!(
-            std::ptr::eq(first, grid.flat()),
-            "repeat calls hit the cache"
+    fn pathological_p_costs_e_plus_p_not_p_squared() {
+        // P = |V| = 2^20: 2^40 blocks, which no dense layout could allocate.
+        let nv = 1u32 << 20;
+        let g = EdgeList::from_edges(
+            nv,
+            (0..100u32).map(|i| Edge::new(i * 10_007 % nv, i * 7_919 % nv)),
+        )
+        .unwrap();
+        let grid = GridGraph::partition(&g, nv).unwrap();
+        assert_eq!(grid.num_blocks(), 1usize << 40);
+        assert_eq!(grid.edge_storage_bits(), 96 * (1u64 << 40) + 64 * 100);
+        assert!(grid.non_empty_blocks() <= 100);
+        assert_eq!(grid.iter_edges().count(), 100);
+        for (id, edges) in grid.flat().blocks() {
+            assert!(edges
+                .map(|e| grid.partition_info().block_of(&e))
+                .all(|b| b == id));
+        }
+    }
+
+    #[test]
+    fn edge_storage_overflow_is_a_typed_error() {
+        // 96·P² alone exceeds u64 here; the check runs before any
+        // allocation, so this costs nothing.
+        let g = EdgeList::new(u32::MAX);
+        let err = GridGraph::partition(&g, u32::MAX).unwrap_err();
+        assert!(matches!(err, GraphError::InvalidPartition { .. }), "{err}");
+        assert!(err.to_string().contains("overflows u64"));
+        // The largest P whose block headers still fit.
+        assert_eq!(
+            edge_storage_bits(438_353_264, 0),
+            Some(96 * 438_353_264u64.pow(2))
         );
-        assert_eq!(grid.flat().num_edges(), 11);
-
-        // A mutable block access drops the cache, so the next flat image
-        // sees the inserted edge.
-        let _fit = grid.block_at_mut(0, 0).push_edge(Edge::new(0, 1));
-        grid.add_edge_count(1);
-        assert_eq!(grid.flat().num_edges(), 12);
-        assert_eq!(grid.flat().block_len(0, 0), grid.block_at(0, 0).len());
+        assert_eq!(edge_storage_bits(438_353_265, 0), None);
     }
 
     #[test]
-    fn clones_and_equality_ignore_the_flat_cache() {
+    fn overlay_keeps_slack_overflow_and_swap_remove_semantics() {
+        let mut grid = GridGraph::partition(&fig1(), 4).unwrap();
+        // B1.2 = {2->4, 3->4}: capacity ceil(2·1.3) = 3, at least 4.
+        assert!(grid.store.push_edge(1, 2, Edge::new(2, 5)));
+        assert!(grid.store.push_edge(1, 2, Edge::new(3, 5)));
+        assert!(
+            !grid.store.push_edge(1, 2, Edge::new(2, 4)),
+            "5th edge overflows"
+        );
+        assert_eq!(grid.num_edges(), 14);
+        // Removing the first 2->4 moves the block's last edge into its slot.
+        assert_eq!(grid.store.remove_edge(1, 2, 2, 4), Some(Edge::new(2, 4)));
+        let b12: Vec<Edge> = grid.flat().block_edges(1, 2).collect();
+        let expect = [
+            Edge::new(2, 4),
+            Edge::new(3, 4),
+            Edge::new(2, 5),
+            Edge::new(3, 5),
+        ];
+        assert_eq!(b12, expect);
+        assert_eq!(grid.store.remove_edge(1, 2, 9, 9), None);
+        // A block the columns never held fills through the overlay alone.
+        assert!(grid.store.push_edge(2, 1, Edge::new(4, 2)));
+        assert_eq!(grid.non_empty_blocks(), 10);
+        assert!(!grid.flat().is_compact());
+        let compact = grid.flatten();
+        assert!(compact.is_compact());
+        assert_eq!(&compact, grid.flat());
+        assert_eq!(compact.out_degrees(), grid.flat().out_degrees());
+        let ranges: Vec<_> = compact
+            .block_ranges()
+            .map(|(id, r)| (id, r.len()))
+            .collect();
+        assert_eq!(ranges[3], (BlockId::new(1, 2), 4));
+        assert_eq!(ranges[6], (BlockId::new(2, 1), 1));
+    }
+
+    #[test]
+    fn clones_and_equality_follow_content() {
         let grid = GridGraph::partition(&fig1(), 4).unwrap();
-        let warmed = grid.clone();
-        let _ = warmed.flat();
-        assert_eq!(grid, warmed, "cache state must not affect equality");
+        let mut other = grid.clone();
+        assert_eq!(grid, other);
+        other.store.push_edge(0, 0, Edge::new(0, 1));
+        assert_ne!(grid, other);
+        other.store.remove_edge(0, 0, 0, 1);
+        assert_eq!(grid, other, "an add then its removal restores the content");
     }
 }

@@ -4,10 +4,15 @@
 //!
 //! * [`EdgeList`] / [`Csr`] — basic containers,
 //! * [`GridGraph`] — the interval-block (P×P) partitioning of §2.1/Fig. 1,
-//!   with per-block reserved slack for dynamic updates (§5),
-//! * [`FlatGrid`] — a read-only structure-of-arrays snapshot of a grid
-//!   (§3.4's contiguous edge stream + offset table) for fast streaming,
-//! * [`DynamicGrid`] — the O(1) add/delete working flow for evolving graphs,
+//!   backed by one [`EdgeStore`]: `src`/`dst`/`weight` columns in block
+//!   order (§3.4's contiguous edge array), a *sparse* index of the non-empty
+//!   blocks (one row offset per source interval, then a destination
+//!   interval and column start per block), and an overlay of the blocks
+//!   dynamic updates touched. Partitioning, storage and walks cost
+//!   O(E + P), never O(P²),
+//! * [`DynamicGrid`] — the O(1) add/delete working flow for evolving graphs
+//!   (§5: per-block reserved slack, linked overflow, swap-remove), writing
+//!   through the store's overlay,
 //! * [`generate`] — R-MAT and Erdős–Rényi generators,
 //! * [`DatasetProfile`] — scaled-down stand-ins for the paper's five SNAP
 //!   datasets (YT, WK, AS, LJ, TW) preserving |E|/|V| ratio and skew,
@@ -35,12 +40,12 @@ pub mod datasets;
 pub mod dynamic;
 pub mod edgelist;
 pub mod error;
-pub mod flat;
 pub mod generate;
 pub mod grid;
 pub mod io;
 pub mod partition;
 pub mod stats;
+pub mod store;
 pub mod types;
 
 pub use csr::Csr;
@@ -48,9 +53,9 @@ pub use datasets::DatasetProfile;
 pub use dynamic::{DynamicGrid, Mutation, MutationOutcome};
 pub use edgelist::EdgeList;
 pub use error::GraphError;
-pub use flat::FlatGrid;
 pub use generate::{ErdosRenyi, Rmat};
-pub use grid::{Block, GridGraph};
+pub use grid::GridGraph;
 pub use partition::{block_sparsity, BlockId, IntervalPartition, PartitionScheme, SparsityStats};
 pub use stats::DegreeStats;
+pub use store::{BlockEdges, EdgeStore};
 pub use types::{Edge, VertexId};

@@ -1,0 +1,637 @@
+//! [`EdgeStore`]: the single edge store behind a [`GridGraph`](crate::GridGraph).
+//!
+//! The layout is the paper's §3.4 edge memory taken literally — block
+//! headers plus one contiguous edge array — with the headers kept *sparse*:
+//!
+//! * **Columns.** `src`/`dst`/`weight` in row-major block order (source
+//!   interval, then destination interval); inside a block, edges keep
+//!   edge-list order. Built by a stable two-pass counting sort (by
+//!   destination interval, then by source interval) in O(E + P).
+//! * **Block index.** One row offset per source interval, then one
+//!   (destination interval, column start) pair per *non-empty* block. Empty
+//!   blocks cost nothing, so memory is O(E + P) for any `P` — including the
+//!   pathological `P = |V|`.
+//! * **Dynamic overlay.** §5 updates land in an overlay of *touched* blocks:
+//!   a copy-on-write delta over each block's column range (overwritten slots
+//!   plus appended edges) with the block's reserved slack and overflow
+//!   segment count, held in a slot per indexed block (allocated on the first
+//!   update) or, for blocks the index does not list, in a map. The overlay
+//!   holds only what mutations wrote, never a second copy of the edge set;
+//!   reads merge it in block order, and
+//!   [`compacted`](EdgeStore::compacted) folds it into fresh columns.
+
+use crate::edgelist::EdgeList;
+use crate::partition::{BlockId, IntervalPartition};
+use crate::types::{Edge, VertexId};
+use std::collections::HashMap;
+use std::ops::Range;
+
+/// Fraction of extra capacity reserved per block for future insertions
+/// (§5: "e.g., 30% of a block size").
+pub const DEFAULT_RESERVE_FRACTION: f64 = 0.30;
+
+/// The edge columns, row-major by block, in one buffer: `src` in
+/// `[0, n)`, `dst` in `[n, 2n)` and the weights' bits in `[2n, 3n)`.
+#[derive(Debug, Clone, Default)]
+struct Columns {
+    data: Vec<u32>,
+    n: usize,
+}
+
+/// The edge a column slot holds.
+fn edge(src: u32, dst: u32, weight: u32) -> Edge {
+    Edge::with_weight(src, dst, f32::from_bits(weight))
+}
+
+/// An edge as a `(src, dst, weight bits)` triple.
+fn triple(e: &Edge) -> [u32; 3] {
+    [e.src.raw(), e.dst.raw(), e.weight.to_bits()]
+}
+
+impl Columns {
+    /// Transposes edge triples into columns, in `buffer`'s memory.
+    fn transpose(triples: &[[u32; 3]], mut buffer: Vec<u32>) -> Self {
+        let n = triples.len();
+        buffer.resize(3 * n, 0);
+        let (src, rest) = buffer.split_at_mut(n);
+        let (dst, weight) = rest.split_at_mut(n);
+        let columns = src.iter_mut().zip(dst.iter_mut()).zip(weight.iter_mut());
+        for (((s, d), w), t) in columns.zip(triples) {
+            (*s, *d, *w) = (t[0], t[1], t[2]);
+        }
+        Columns { data: buffer, n }
+    }
+
+    fn src(&self) -> &[u32] {
+        &self.data[..self.n]
+    }
+
+    fn dst(&self) -> &[u32] {
+        &self.data[self.n..2 * self.n]
+    }
+
+    fn weight(&self) -> &[u32] {
+        &self.data[2 * self.n..]
+    }
+
+    /// A block's edges: its column slots `base`, as `touched` rewrote them.
+    fn view<'a>(&'a self, base: Range<usize>, touched: Option<&'a TouchedBlock>) -> BlockEdges<'a> {
+        let (live, patches, tail): (_, &[_], &[_]) = match touched {
+            Some(t) => (
+                base.start..base.start + t.len.min(base.len()),
+                &t.patches,
+                &t.tail,
+            ),
+            None => (base, &[], &[]),
+        };
+        BlockEdges {
+            src: &self.src()[live.clone()],
+            dst: &self.dst()[live.clone()],
+            weight: &self.weight()[live],
+            patches,
+            tail: tail.iter(),
+            next: 0,
+        }
+    }
+}
+
+/// §5 state of a block written since its columns were laid out.
+#[derive(Debug, Clone)]
+struct TouchedBlock {
+    /// The block's column range when the store was built.
+    base: Range<usize>,
+    /// Current edge count; base slots at `len..` are dead.
+    len: usize,
+    /// Base slots overwritten by swap-removes, sorted by position.
+    patches: Vec<(usize, Edge)>,
+    /// The edges at positions `base.len()..len`.
+    tail: Vec<Edge>,
+    /// Capacity laid out for the block (edges + slack).
+    reserved: usize,
+    /// Extra segments chained past the reserved space.
+    overflow_segments: u32,
+}
+
+impl TouchedBlock {
+    fn new(base: Range<usize>) -> Self {
+        let len = base.len();
+        let slack = (len as f64 * DEFAULT_RESERVE_FRACTION).ceil() as usize;
+        TouchedBlock {
+            base,
+            len,
+            patches: Vec::new(),
+            tail: Vec::new(),
+            // Even empty blocks get a minimal slot so additions stay O(1).
+            reserved: (len + slack).max(4),
+            overflow_segments: 0,
+        }
+    }
+
+    /// Writes position `i ≤ len`.
+    fn set(&mut self, i: usize, e: Edge) {
+        if let Some(j) = i.checked_sub(self.base.len()) {
+            if j == self.tail.len() {
+                self.tail.push(e);
+            } else {
+                self.tail[j] = e;
+            }
+        } else {
+            match self.patches.binary_search_by_key(&i, |&(pos, _)| pos) {
+                Ok(k) => self.patches[k].1 = e,
+                Err(k) => self.patches.insert(k, (i, e)),
+            }
+        }
+    }
+
+    /// Appends an edge: `true` if it fit the reserved space, `false` if an
+    /// overflow segment had to be linked (§5).
+    fn push(&mut self, e: Edge) -> bool {
+        self.set(self.len, e);
+        self.len += 1;
+        if self.len <= self.reserved {
+            return true;
+        }
+        self.overflow_segments += 1;
+        self.reserved =
+            self.len + ((self.len as f64 * DEFAULT_RESERVE_FRACTION).ceil() as usize).max(4);
+        false
+    }
+
+    /// Removes the first edge `s → d` by moving the block's last edge into
+    /// its slot (§5 deletion).
+    fn remove(&mut self, cols: &Columns, s: u32, d: u32) -> Option<Edge> {
+        let edges = cols.view(self.base.clone(), Some(self));
+        let (pos, removed) = edges.find(s, d)?;
+        let last = edges.last()?;
+        self.set(pos, last);
+        self.len -= 1;
+        if self.len >= self.base.len() {
+            self.tail.pop();
+        } else if let Ok(k) = self.patches.binary_search_by_key(&self.len, |&(p, _)| p) {
+            self.patches.remove(k);
+        }
+        Some(removed)
+    }
+}
+
+/// One block's edges, in order.
+#[derive(Debug, Clone)]
+pub struct BlockEdges<'a> {
+    /// The block's live column slots (the first `min(len, base)` of them).
+    src: &'a [u32],
+    dst: &'a [u32],
+    weight: &'a [u32],
+    /// Overlay writes over those slots still ahead, sorted by position.
+    patches: &'a [(usize, Edge)],
+    /// Edges appended past the column slots.
+    tail: std::slice::Iter<'a, Edge>,
+    next: usize,
+}
+
+impl Iterator for BlockEdges<'_> {
+    type Item = Edge;
+
+    fn next(&mut self) -> Option<Edge> {
+        let i = self.next;
+        if i == self.src.len() {
+            return self.tail.next().copied();
+        }
+        self.next += 1;
+        if let Some((&(pos, e), rest)) = self.patches.split_first() {
+            if pos == i {
+                self.patches = rest;
+                return Some(e);
+            }
+        }
+        Some(edge(self.src[i], self.dst[i], self.weight[i]))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.src.len() - self.next + self.tail.len();
+        (left, Some(left))
+    }
+
+    fn last(self) -> Option<Edge> {
+        if let Some(&e) = self.tail.as_slice().last() {
+            return Some(e);
+        }
+        let i = self.src.len().checked_sub(1).filter(|&i| i >= self.next)?;
+        Some(match self.patches.last() {
+            Some(&(pos, e)) if pos == i => e,
+            _ => edge(self.src[i], self.dst[i], self.weight[i]),
+        })
+    }
+
+    /// Internal iteration streams the column slices between patches.
+    fn fold<B, F: FnMut(B, Edge) -> B>(self, init: B, mut f: F) -> B {
+        let (mut acc, mut i, mut patches) = (init, self.next, self.patches);
+        let n = self.src.len();
+        while i < n {
+            let end = patches.first().map_or(n, |&(pos, _)| pos);
+            let run = self.src[i..end]
+                .iter()
+                .zip(&self.dst[i..end])
+                .zip(&self.weight[i..end]);
+            for ((&s, &d), &w) in run {
+                acc = f(acc, edge(s, d, w));
+            }
+            if let Some((&(_, e), rest)) = patches.split_first() {
+                acc = f(acc, e);
+                patches = rest;
+            }
+            i = end + 1;
+        }
+        self.tail.fold(acc, |acc, &e| f(acc, e))
+    }
+}
+
+impl ExactSizeIterator for BlockEdges<'_> {}
+
+impl BlockEdges<'_> {
+    /// The first position (from the start of the block) holding an edge
+    /// `s → d`, and that edge: a scan of the column slices between patches.
+    fn find(&self, s: u32, d: u32) -> Option<(usize, Edge)> {
+        let is = |e: &Edge| e.src.raw() == s && e.dst.raw() == d;
+        let n = self.src.len();
+        let mut from = 0;
+        let patches = self.patches.iter().map(|&(pos, e)| (pos, Some(e)));
+        for (pos, patch) in patches.chain([(n, None)]) {
+            let run = self.src[from..pos].iter().zip(&self.dst[from..pos]);
+            if let Some(i) = run.clone().position(|(&a, &b)| a == s && b == d) {
+                let k = from + i;
+                return Some((k, edge(s, d, self.weight[k])));
+            }
+            if let Some(e) = patch.filter(is) {
+                return Some((pos, e));
+            }
+            from = pos + 1;
+        }
+        let tail = self.tail.as_slice();
+        let i = tail.iter().position(is)?;
+        Some((n + i, tail[i]))
+    }
+}
+
+/// Where a block's overlay state lives.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// Position in the sparse index.
+    Indexed(usize),
+    /// Row-major linear id of a block the index does not list.
+    Fresh(u64),
+}
+
+/// The §5 overlay: the blocks dynamic updates touched.
+#[derive(Debug, Clone, Default)]
+struct Overlay {
+    /// State of each indexed block once touched; sized on the first update.
+    indexed: Vec<Option<TouchedBlock>>,
+    /// Touched blocks the index does not list.
+    fresh: HashMap<u64, TouchedBlock>,
+}
+
+impl Overlay {
+    fn is_empty(&self) -> bool {
+        self.indexed.is_empty() && self.fresh.is_empty()
+    }
+
+    fn get(&self, slot: Slot) -> Option<&TouchedBlock> {
+        match slot {
+            Slot::Indexed(k) => self.indexed.get(k)?.as_ref(),
+            Slot::Fresh(key) => self.fresh.get(&key),
+        }
+    }
+
+    /// The block's state, created from its column range on first touch.
+    fn touch(&mut self, index: &BlockIndex, slot: Slot) -> &mut TouchedBlock {
+        match slot {
+            Slot::Indexed(k) => {
+                if self.indexed.is_empty() {
+                    self.indexed.resize_with(index.dst.len(), || None);
+                }
+                self.indexed[k].get_or_insert_with(|| TouchedBlock::new(index.range_at(k)))
+            }
+            Slot::Fresh(key) => (self.fresh)
+                .entry(key)
+                .or_insert_with(|| TouchedBlock::new(0..0)),
+        }
+    }
+}
+
+/// The sparse block index: the non-empty blocks, row-major.
+#[derive(Debug, Clone, Default)]
+struct BlockIndex {
+    /// `rows[i]..rows[i + 1]` are the blocks of source interval `i`.
+    rows: Vec<usize>,
+    /// Destination interval of each listed block.
+    dst: Vec<u32>,
+    /// Column start of each listed block, then the column length.
+    start: Vec<usize>,
+}
+
+impl BlockIndex {
+    /// Position of block (src, dst) in the index, if listed — a binary
+    /// search in the source interval's row.
+    fn position(&self, src: u32, dst: u32) -> Option<usize> {
+        let row = self.rows[src as usize]..self.rows[src as usize + 1];
+        let i = self.dst[row.clone()].binary_search(&dst).ok()?;
+        Some(row.start + i)
+    }
+
+    /// Column range of the listed block at `k`.
+    fn range_at(&self, k: usize) -> Range<usize> {
+        self.start[k]..self.start[k + 1]
+    }
+}
+
+/// The columns + sparse block index + dynamic overlay of one grid.
+///
+/// ```
+/// use hyve_graph::{Edge, EdgeList, GridGraph};
+///
+/// # fn main() -> Result<(), hyve_graph::GraphError> {
+/// let g = EdgeList::from_edges(8, [Edge::new(2, 4), Edge::new(0, 7)])?;
+/// let grid = GridGraph::partition(&g, 4)?;
+/// let store = grid.flat();
+/// assert_eq!(store.block_len(1, 2), 1); // e2.4 in B1.2, as in Fig. 1
+/// assert_eq!(store.non_empty_blocks(), 2); // the other 14 blocks cost nothing
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct EdgeStore {
+    p: u32,
+    num_vertices: u32,
+    cols: Columns,
+    index: BlockIndex,
+    overlay: Overlay,
+    num_edges: u64,
+}
+
+impl EdgeStore {
+    /// Lays `g`'s edges out under `partition` in O(E + P): a stable
+    /// counting sort by destination interval, then one by source interval.
+    pub(crate) fn build(g: &EdgeList, partition: &IntervalPartition) -> Self {
+        let p = partition.num_intervals() as usize;
+        let interval = |v: u32| partition.interval_of(VertexId::new(v)) as usize;
+        let ne = g.len();
+        // Both passes' bucket bounds, from one scan.
+        let (mut dst_next, mut row_next) = (vec![0usize; p + 1], vec![0usize; p + 1]);
+        for e in g.iter() {
+            dst_next[interval(e.dst.raw()) + 1] += 1;
+            row_next[interval(e.src.raw()) + 1] += 1;
+        }
+        for i in 0..p {
+            dst_next[i + 1] += dst_next[i];
+            row_next[i + 1] += row_next[i];
+        }
+        let row_bounds = row_next.clone();
+        // Pass 1: by destination interval.
+        let mut by_dst = vec![[0u32; 3]; ne];
+        for e in g.iter() {
+            let d = interval(e.dst.raw());
+            by_dst[dst_next[d]] = triple(e);
+            dst_next[d] += 1;
+        }
+        // Pass 2: by source interval. Stability keeps each row in ascending
+        // destination interval and each block in edge-list order.
+        let mut sorted = vec![[0u32; 3]; ne];
+        for t in &by_dst {
+            let r = interval(t[0]);
+            sorted[row_next[r]] = *t;
+            row_next[r] += 1;
+        }
+        // The pass-1 buffer is dead: the columns reuse its memory.
+        let cols = Columns::transpose(&sorted, by_dst.into_flattened());
+        drop(sorted);
+        // The sparse index: a block opens wherever a row meets a new
+        // destination interval.
+        let mut index = BlockIndex::default();
+        for row in row_bounds.windows(2) {
+            index.rows.push(index.dst.len());
+            for (k, &v) in (row[0]..).zip(&cols.dst()[row[0]..row[1]]) {
+                let d = interval(v) as u32;
+                if k == row[0] || index.dst.last() != Some(&d) {
+                    index.dst.push(d);
+                    index.start.push(k);
+                }
+            }
+        }
+        index.rows.push(index.dst.len());
+        index.start.push(ne);
+        EdgeStore {
+            p: p as u32,
+            num_vertices: partition.num_vertices(),
+            cols,
+            index,
+            overlay: Overlay::default(),
+            num_edges: ne as u64,
+        }
+    }
+
+    /// Number of intervals `P`.
+    pub fn num_intervals(&self) -> u32 {
+        self.p
+    }
+
+    /// Number of vertices.
+    pub fn num_vertices(&self) -> u32 {
+        self.num_vertices
+    }
+
+    /// Number of edges, overlay included.
+    pub fn num_edges(&self) -> u64 {
+        self.num_edges
+    }
+
+    /// Number of blocks holding at least one edge.
+    pub fn non_empty_blocks(&self) -> usize {
+        if self.is_compact() {
+            self.index.dst.len()
+        } else {
+            self.blocks().count()
+        }
+    }
+
+    /// True when no dynamic update is pending in the overlay, so the
+    /// columns and [`block_ranges`](Self::block_ranges) are the whole graph.
+    pub fn is_compact(&self) -> bool {
+        self.overlay.is_empty()
+    }
+
+    fn slot(&self, src: u32, dst: u32) -> Slot {
+        let p = self.p;
+        assert!(
+            src < p && dst < p,
+            "block ({src},{dst}) out of a {p}x{p} grid"
+        );
+        let key = u64::from(src) * u64::from(p) + u64::from(dst);
+        self.index
+            .position(src, dst)
+            .map_or(Slot::Fresh(key), Slot::Indexed)
+    }
+
+    fn view_at(&self, slot: Slot) -> BlockEdges<'_> {
+        let base = match slot {
+            Slot::Indexed(k) => self.index.range_at(k),
+            Slot::Fresh(_) => 0..0,
+        };
+        self.cols.view(base, self.overlay.get(slot))
+    }
+
+    /// The edges of block (src interval, dst interval), overlay included —
+    /// an O(log) lookup in the sparse index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either coordinate is ≥ P.
+    pub fn block_edges(&self, src: u32, dst: u32) -> BlockEdges<'_> {
+        self.view_at(self.slot(src, dst))
+    }
+
+    /// Number of edges in block (src interval, dst interval).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either coordinate is ≥ P.
+    pub fn block_len(&self, src: u32, dst: u32) -> usize {
+        self.block_edges(src, dst).len()
+    }
+
+    /// The indexed non-empty blocks and their column ranges, row-major.
+    /// This is the columns' view only: it ignores pending overlay updates,
+    /// so call it on a [compact](Self::is_compact) store.
+    pub fn block_ranges(&self) -> impl Iterator<Item = (BlockId, Range<usize>)> + '_ {
+        (0..self.p).flat_map(move |src| {
+            let index = &self.index;
+            (index.rows[src as usize]..index.rows[src as usize + 1]).map(move |k| {
+                let id = BlockId::new(src, index.dst[k]);
+                (id, index.start[k]..index.start[k + 1])
+            })
+        })
+    }
+
+    /// Every non-empty block with its edges, row-major, overlay included.
+    pub fn blocks(&self) -> impl Iterator<Item = (BlockId, BlockEdges<'_>)> + '_ {
+        let p = u64::from(self.p);
+        let key = move |id: BlockId| u64::from(id.src) * p + u64::from(id.dst);
+        let mut fresh: Vec<(u64, &TouchedBlock)> =
+            self.overlay.fresh.iter().map(|(&k, t)| (k, t)).collect();
+        fresh.sort_unstable_by_key(|&(k, _)| k);
+        let mut fresh = fresh.into_iter().peekable();
+        let mut indexed = self.block_ranges().enumerate().peekable();
+        std::iter::from_fn(move || loop {
+            let next_indexed = indexed.peek().map(|&(_, (id, _))| key(id));
+            let (id, edges) = match (next_indexed, fresh.peek()) {
+                (None, None) => return None,
+                (Some(i), f) if f.is_none_or(|&(f, _)| i < f) => {
+                    let (k, (id, range)) = indexed.next()?;
+                    (
+                        id,
+                        self.cols.view(range, self.overlay.get(Slot::Indexed(k))),
+                    )
+                }
+                _ => {
+                    let (k, t) = fresh.next()?;
+                    let id = BlockId::new((k / p) as u32, (k % p) as u32);
+                    (id, self.cols.view(0..0, Some(t)))
+                }
+            };
+            if edges.len() > 0 {
+                return Some((id, edges));
+            }
+        })
+    }
+
+    /// Every edge in row-major block order, overlay included.
+    pub fn iter_edges(&self) -> impl Iterator<Item = Edge> + '_ {
+        self.blocks().flat_map(|(_, edges)| edges)
+    }
+
+    /// The edges in a column `range` (as produced by
+    /// [`block_ranges`](Self::block_ranges)), materialised by value.
+    pub fn edges_in(&self, range: Range<usize>) -> impl Iterator<Item = Edge> + '_ {
+        let c = &self.cols;
+        c.src()[range.clone()]
+            .iter()
+            .zip(&c.dst()[range.clone()])
+            .zip(&c.weight()[range])
+            .map(|((&s, &d), &w)| edge(s, d, w))
+    }
+
+    /// Out-degree of every vertex. Edges to reserved padding slots beyond
+    /// the vertex count (dynamic updates) grow the vector rather than panic.
+    pub fn out_degrees(&self) -> Vec<u32> {
+        let mut deg = vec![0u32; self.num_vertices as usize];
+        self.iter_edges().for_each(|e| {
+            if e.src.index() >= deg.len() {
+                deg.resize(e.src.index() + 1, 0);
+            }
+            deg[e.src.index()] += 1;
+        });
+        deg
+    }
+
+    /// Folds the overlay into fresh columns and index: the same blocks and
+    /// edge order, with nothing pending. O(E + P + touched blocks).
+    pub fn compacted(&self) -> EdgeStore {
+        let mut index = BlockIndex::default();
+        let mut triples = Vec::with_capacity(self.num_edges as usize);
+        for (id, edges) in self.blocks() {
+            while index.rows.len() <= id.src as usize {
+                index.rows.push(index.dst.len());
+            }
+            index.dst.push(id.dst);
+            index.start.push(triples.len());
+            triples.extend(edges.map(|e| triple(&e)));
+        }
+        index.rows.resize(self.p as usize + 1, index.dst.len());
+        index.start.push(triples.len());
+        EdgeStore {
+            cols: Columns::transpose(&triples, Vec::new()),
+            index,
+            overlay: Overlay::default(),
+            ..*self
+        }
+    }
+
+    /// Appends `e` to block (src, dst) through the overlay. Returns `true`
+    /// if it fit the block's reserved space, `false` if an overflow segment
+    /// had to be linked.
+    pub(crate) fn push_edge(&mut self, src: u32, dst: u32, e: Edge) -> bool {
+        self.num_edges += 1;
+        let slot = self.slot(src, dst);
+        self.overlay.touch(&self.index, slot).push(e)
+    }
+
+    /// Removes the first edge `s → d` from block (src, dst) by swapping in
+    /// the block's last edge (§5 deletion).
+    pub(crate) fn remove_edge(&mut self, src: u32, dst: u32, s: u32, d: u32) -> Option<Edge> {
+        let slot = self.slot(src, dst);
+        // An untouched block enters the overlay only if it holds the edge.
+        if self.overlay.get(slot).is_none() {
+            self.view_at(slot).find(s, d)?;
+        }
+        let block = self.overlay.touch(&self.index, slot);
+        let removed = block.remove(&self.cols, s, d)?;
+        self.num_edges -= 1;
+        Some(removed)
+    }
+}
+
+/// Equality is over content — `P`, the vertex count and every block's edge
+/// sequence — so a store with pending overlay updates equals its
+/// [`compacted`](EdgeStore::compacted) form.
+impl PartialEq for EdgeStore {
+    fn eq(&self, other: &Self) -> bool {
+        self.p == other.p
+            && self.num_vertices == other.num_vertices
+            && self.num_edges == other.num_edges
+            && self
+                .blocks()
+                .map(|(id, edges)| (id, edges.collect::<Vec<_>>()))
+                .eq(other
+                    .blocks()
+                    .map(|(id, edges)| (id, edges.collect::<Vec<_>>())))
+    }
+}

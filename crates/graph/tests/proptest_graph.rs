@@ -4,7 +4,7 @@
 
 use hyve_graph::{
     block_sparsity, DynamicGrid, Edge, EdgeList, GridGraph, IntervalPartition, Mutation,
-    PartitionScheme, VertexId,
+    MutationOutcome, PartitionScheme, VertexId,
 };
 use proptest::prelude::*;
 
@@ -55,11 +55,107 @@ proptest! {
     fn edges_land_in_correct_blocks(g in arb_graph(), p in 1u32..16) {
         let p = p.min(g.num_vertices());
         let grid = GridGraph::partition(&g, p).unwrap();
-        for block in grid.blocks() {
-            for e in block.edges() {
-                prop_assert_eq!(grid.partition_info().block_of(e), block.id());
+        for (id, edges) in grid.flat().blocks() {
+            for e in edges {
+                prop_assert_eq!(grid.partition_info().block_of(&e), id);
             }
         }
+    }
+
+    /// The sparse store holds exactly a naive dense bucketing: every one of
+    /// the P² blocks has the same edge sequence (edge-list order kept), the
+    /// index lists precisely the non-empty blocks row-major, and their
+    /// column ranges tile the columns. P runs up to |V|; the empty graph
+    /// and both schemes are covered.
+    #[test]
+    fn store_matches_dense_bucketing(g in arb_graph(), p in 1u32..200,
+                                     round_robin in proptest::bool::ANY) {
+        let p = p.min(g.num_vertices());
+        let scheme = if round_robin {
+            PartitionScheme::RoundRobin
+        } else {
+            PartitionScheme::Contiguous
+        };
+        let grid = GridGraph::partition_with_scheme(&g, p, scheme).unwrap();
+        let mut dense = vec![Vec::new(); (p as usize).pow(2)];
+        for e in g.iter() {
+            dense[grid.partition_info().block_of(e).linear(p)].push(*e);
+        }
+        let store = grid.flat();
+        for (i, expect) in dense.iter().enumerate() {
+            let (s, d) = ((i / p as usize) as u32, (i % p as usize) as u32);
+            let got: Vec<Edge> = store.block_edges(s, d).collect();
+            prop_assert_eq!(&got, expect, "block ({}, {})", s, d);
+        }
+        let listed: Vec<usize> = store.blocks().map(|(id, _)| id.linear(p)).collect();
+        let non_empty: Vec<usize> = (0..dense.len()).filter(|&i| !dense[i].is_empty()).collect();
+        prop_assert_eq!(&listed, &non_empty);
+        prop_assert_eq!(grid.non_empty_blocks(), non_empty.len());
+        let mut end = 0;
+        for (_, range) in store.block_ranges() {
+            prop_assert_eq!(range.start, end);
+            prop_assert!(!range.is_empty());
+            end = range.end;
+        }
+        prop_assert_eq!(end, g.len());
+        prop_assert_eq!(
+            grid.edge_storage_bits(),
+            96 * u64::from(p).pow(2) + 64 * g.len() as u64
+        );
+    }
+
+    /// The store's overlay keeps the §5 block semantics exactly: replaying
+    /// adds and removes on a naive per-block `Vec` (push with 30% slack,
+    /// at least 4 slots, and a linked overflow segment when that runs out;
+    /// swap-remove of the first match) gives every block the same edge
+    /// sequence and every add the same in-place/overflow outcome.
+    #[test]
+    fn overlay_matches_per_block_vec_model(
+        g in arb_graph(),
+        p in 1u32..12,
+        ops in proptest::collection::vec((proptest::bool::ANY, 0u32..200, 0u32..200), 0..150),
+    ) {
+        let p = p.min(g.num_vertices());
+        let grid = GridGraph::partition(&g, p).unwrap();
+        let part = grid.partition_info().clone();
+        let mut dynamic = DynamicGrid::new(grid, 0.3);
+        let slack = |len: usize| (len as f64 * 0.3).ceil() as usize;
+        // Per block: (edges, reserved capacity), laid out like partition.
+        let mut model: Vec<(Vec<Edge>, usize)> = vec![(Vec::new(), 0); (p as usize).pow(2)];
+        for e in g.iter() {
+            model[part.block_of(e).linear(p)].0.push(*e);
+        }
+        for (edges, reserved) in &mut model {
+            *reserved = (edges.len() + slack(edges.len())).max(4);
+        }
+        let nv = g.num_vertices();
+        for (add, a, b) in ops {
+            let e = Edge::new(a % nv, b % nv);
+            let (edges, reserved) = &mut model[part.block_of(&e).linear(p)];
+            if add {
+                edges.push(e);
+                let fit = edges.len() <= *reserved;
+                if !fit {
+                    *reserved = edges.len() + slack(edges.len()).max(4);
+                }
+                let expect = if fit { MutationOutcome::InPlace } else { MutationOutcome::LinkedOverflow };
+                prop_assert_eq!(dynamic.apply(Mutation::AddEdge(e)).unwrap(), expect);
+            } else {
+                let hit = edges.iter().position(|x| (x.src, x.dst) == (e.src, e.dst));
+                if let Some(i) = hit {
+                    edges.swap_remove(i);
+                }
+                let removed = dynamic.apply(Mutation::RemoveEdge { src: e.src.raw(), dst: e.dst.raw() });
+                prop_assert_eq!(removed.is_ok(), hit.is_some());
+            }
+        }
+        let store = dynamic.grid().flat();
+        for (i, (edges, _)) in model.iter().enumerate() {
+            let (s, d) = ((i / p as usize) as u32, (i % p as usize) as u32);
+            let got: Vec<Edge> = store.block_edges(s, d).collect();
+            prop_assert_eq!(&got, edges, "block ({}, {})", s, d);
+        }
+        prop_assert_eq!(&store.compacted(), store);
     }
 
     /// interval_of / local_index / global_index form a bijection.

@@ -25,6 +25,6 @@ pub use hyve_core::{
     TraceArtifact, TraceChannel, TraceDiff, TraceEvent, TraceSink, VertexMemoryKind,
 };
 pub use hyve_graph::{
-    DatasetProfile, Edge, EdgeList, FlatGrid, GraphError, GridGraph, Rmat, VertexId,
+    DatasetProfile, Edge, EdgeList, EdgeStore, GraphError, GridGraph, Rmat, VertexId,
 };
 pub use hyve_memsim::DeviceError;
