@@ -32,7 +32,7 @@ use crate::pu::ProcessingUnit;
 use crate::stats::{PhaseTimes, RunReport, RunTrace};
 use crate::trace::{SharedSink, TraceChannel, TraceEvent};
 use hyve_algorithms::{EdgeProgram, ExecutionMode, GraphMeta, IterationBound};
-use hyve_graph::{EdgeList, EdgeStore, GridGraph, VertexId};
+use hyve_graph::{EdgeList, EdgeStore, GraphError, GridGraph, VertexId};
 use hyve_memsim::{FaultPlan, Time};
 
 /// Cost of the one-shot preprocessing step: writing the partitioned edge
@@ -293,6 +293,14 @@ impl Engine {
             num_edges: grid.num_edges(),
             out_degrees: store.out_degrees(),
         };
+        // Out-degrees cover every endpoint, so a longer vector means an edge
+        // reaches a padding-slot vertex the partition does not hold.
+        if meta.out_degrees.len() > grid.num_vertices() as usize {
+            return Err(CoreError::Graph(GraphError::VertexOutOfRange {
+                vertex: meta.out_degrees.len() as u32 - 1,
+                num_vertices: grid.num_vertices(),
+            }));
+        }
 
         if let Some(sink) = sink {
             sink.record(&TraceEvent::RunStart {

@@ -44,6 +44,12 @@ impl fmt::Display for CoreError {
             CoreError::Unschedulable { message } => {
                 write!(f, "graph not schedulable: {message}")
             }
+            CoreError::Graph(e @ hyve_graph::GraphError::VertexOutOfRange { .. }) => write!(
+                f,
+                "graph error: {e} (an edge reaches a padding-slot vertex of a grown \
+                 DynamicGrid, which the grid's partition does not hold; run on \
+                 DynamicGrid::live_edge_list() instead)"
+            ),
             CoreError::Graph(e) => write!(f, "graph error: {e}"),
             CoreError::Device(e) => write!(f, "device error: {e}"),
             CoreError::MaxIterationsExceeded {

@@ -193,7 +193,12 @@ impl SimulationSession {
     /// # Errors
     ///
     /// [`CoreError::Unschedulable`] when the grid's interval count is not a
-    /// positive multiple of the PU count.
+    /// positive multiple of the PU count;
+    /// [`CoreError::Graph`] wrapping
+    /// [`GraphError::VertexOutOfRange`](hyve_graph::GraphError::VertexOutOfRange)
+    /// when an edge reaches a vertex in a padding slot of a grown
+    /// [`DynamicGrid`](hyve_graph::DynamicGrid), which the grid's partition
+    /// does not hold — run on its `live_edge_list()` instead.
     pub fn run<P: EdgeProgram>(
         &self,
         program: &P,
@@ -565,6 +570,31 @@ mod tests {
             .unwrap();
         // Every destination has one in-edge, so the sums are order-free.
         assert_eq!(ranks, reference);
+    }
+
+    #[test]
+    fn padding_slot_endpoints_are_a_typed_error_not_a_panic() {
+        use hyve_graph::{DynamicGrid, GraphError, Mutation};
+        let chain = EdgeList::from_edges(8, (0..7).map(|v| Edge::new(v, v + 1))).unwrap();
+        let session = SimulationSession::builder(SystemConfig::hyve().with_num_pus(2))
+            .build()
+            .unwrap();
+        for edge in [Edge::new(0, 8), Edge::new(8, 0)] {
+            let mut d = DynamicGrid::new(GridGraph::partition(&chain, 4).unwrap(), 0.5);
+            d.apply(Mutation::AddVertex).unwrap();
+            d.apply(Mutation::AddEdge(edge)).unwrap();
+            let err = session
+                .run_with_values(&PageRank::new(2), d.grid())
+                .unwrap_err();
+            let expect = GraphError::VertexOutOfRange {
+                vertex: 8,
+                num_vertices: 8,
+            };
+            assert_eq!(err, CoreError::Graph(expect));
+            assert!(err.to_string().contains("live_edge_list()"), "{err}");
+            let live = session.run_on_edge_list(&PageRank::new(2), &d.live_edge_list());
+            assert_eq!(live.unwrap().edges_processed, 2 * 8);
+        }
     }
 
     #[test]

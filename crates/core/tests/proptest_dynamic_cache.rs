@@ -1,13 +1,13 @@
-//! Stale-cache property for the dynamic-update path: after an arbitrary
-//! AddEdge/RemoveEdge sequence (each applied against a warmed
-//! [`GridGraph::flat`] memo, so a missed invalidation would be observable),
-//! running on the mutated grid is bit-identical to running on a grid rebuilt
-//! from scratch from the mutated edge set.
+//! Run ≡ rebuild for the dynamic-update path: after an arbitrary
+//! AddEdge/RemoveEdge sequence, written into the edge store in place, the
+//! mutated grid's store equals that of a grid rebuilt from scratch from the
+//! mutated edge set, and a run on the mutated — not yet compacted — grid is
+//! bit-identical to a run on the rebuild.
 //!
 //! Vertex mutations are excluded on purpose: padding-slot vertices map to
 //! intervals round-robin from the *old* materialised count, which a fresh
 //! partition of the grown graph legitimately assigns differently — that is a
-//! layout difference, not a stale cache. Edge mutations keep the vertex→
+//! layout difference, not an update bug. Edge mutations keep the vertex→
 //! interval map fixed, and `to_edge_list` (row-major) + the stable
 //! counting-sort partition reproduce the per-block edge order exactly.
 
@@ -40,7 +40,8 @@ proptest! {
         let mut d = DynamicGrid::new(grid, 0.3);
         for (add, a, b) in ops {
             let nv = d.num_vertices();
-            // Warm the memo before every mutation.
+            // Read the store between writes: it keeps no derived state a
+            // write could leave behind.
             let _ = d.grid().flat();
             if add {
                 let _ = d.apply(Mutation::AddEdge(Edge::new(a % nv, b % nv)));

@@ -14,10 +14,11 @@
 //!   "set to invalid, e.g. −1 for PageRank"); incident edges become inert
 //!   and are counted as changed via the maintained degree.
 //!
-//! Edge updates land in the grid's [`EdgeStore`](crate::EdgeStore) overlay:
-//! only touched blocks carry state (overwritten slots, appended edges, slack
-//! and overflow counters), so the structure never holds a second copy of
-//! the edge set, and every read sees the updated blocks in place.
+//! Edge updates write the grid's [`EdgeStore`](crate::EdgeStore) columns in
+//! place. Only touched blocks carry extra state — live length, edges
+//! appended past their column slots, reserved slack — so the structure never
+//! holds a second copy of the edge set, and every read sees the updated
+//! blocks.
 
 use crate::error::GraphError;
 use crate::grid::GridGraph;

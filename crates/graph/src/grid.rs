@@ -5,8 +5,9 @@
 //! columns in block order behind a sparse index of the non-empty blocks, so
 //! partitioning, storage and every walk over the grid cost O(E + P), never
 //! O(P²). Dynamic updates (§5) go through [`DynamicGrid`](crate::DynamicGrid)
-//! into the store's overlay of touched blocks, each with its reserved slack
-//! (default 30%) and linked overflow segments.
+//! and write the store's columns in place; a touched block's edges past its
+//! column slots, and its reserved slack (default 30%), sit in a small
+//! per-block overlay.
 
 use crate::edgelist::EdgeList;
 use crate::error::GraphError;
@@ -300,6 +301,9 @@ mod tests {
     #[test]
     fn overlay_keeps_slack_overflow_and_swap_remove_semantics() {
         let mut grid = GridGraph::partition(&fig1(), 4).unwrap();
+        // A failed removal leaves an untouched block untouched.
+        assert_eq!(grid.store.remove_edge(0, 0, 0, 1), None);
+        assert!(grid.flat().is_compact());
         // B1.2 = {2->4, 3->4}: capacity ceil(2·1.3) = 3, at least 4.
         assert!(grid.store.push_edge(1, 2, Edge::new(2, 5)));
         assert!(grid.store.push_edge(1, 2, Edge::new(3, 5)));
@@ -319,6 +323,18 @@ mod tests {
         ];
         assert_eq!(b12, expect);
         assert_eq!(grid.store.remove_edge(1, 2, 9, 9), None);
+        // B3.0 = {6->0, 7->1}: shrunk below its two column slots, the next
+        // push reuses the dead slot in the columns.
+        assert_eq!(grid.store.remove_edge(3, 0, 6, 0), Some(Edge::new(6, 0)));
+        assert!(grid.store.push_edge(3, 0, Edge::new(6, 1)));
+        let b30 = [Edge::new(7, 1), Edge::new(6, 1)];
+        assert_eq!(grid.flat().block_edges(3, 0).collect::<Vec<_>>(), b30);
+        let slots = grid
+            .flat()
+            .block_ranges()
+            .find(|(id, _)| *id == BlockId::new(3, 0));
+        let in_columns = grid.flat().edges_in(slots.unwrap().1);
+        assert_eq!(in_columns.collect::<Vec<_>>(), b30);
         // A block the columns never held fills through the overlay alone.
         assert!(grid.store.push_edge(2, 1, Edge::new(4, 2)));
         assert_eq!(grid.non_empty_blocks(), 10);
@@ -333,6 +349,7 @@ mod tests {
             .collect();
         assert_eq!(ranges[3], (BlockId::new(1, 2), 4));
         assert_eq!(ranges[6], (BlockId::new(2, 1), 1));
+        assert_eq!(ranges[8], (BlockId::new(3, 0), 2));
     }
 
     #[test]
@@ -344,5 +361,10 @@ mod tests {
         assert_ne!(grid, other);
         other.store.remove_edge(0, 0, 0, 1);
         assert_eq!(grid, other, "an add then its removal restores the content");
+        other.store.remove_edge(0, 0, 1, 0);
+        other.store.push_edge(0, 0, Edge::new(0, 0));
+        assert_ne!(grid, other);
+        // The clone's in-place writes never reach the original's columns.
+        assert_eq!(grid, GridGraph::partition(&fig1(), 4).unwrap());
     }
 }

@@ -7,12 +7,12 @@
 //!   backed by one [`EdgeStore`]: `src`/`dst`/`weight` columns in block
 //!   order (§3.4's contiguous edge array), a *sparse* index of the non-empty
 //!   blocks (one row offset per source interval, then a destination
-//!   interval and column start per block), and an overlay of the blocks
-//!   dynamic updates touched. Partitioning, storage and walks cost
-//!   O(E + P), never O(P²),
+//!   interval and column start per block), and a small overlay of the
+//!   blocks dynamic updates touched (live length, appended tail, slack).
+//!   Partitioning, storage and walks cost O(E + P), never O(P²),
 //! * [`DynamicGrid`] — the O(1) add/delete working flow for evolving graphs
 //!   (§5: per-block reserved slack, linked overflow, swap-remove), writing
-//!   through the store's overlay,
+//!   the store's columns in place,
 //! * [`generate`] — R-MAT and Erdős–Rényi generators,
 //! * [`DatasetProfile`] — scaled-down stand-ins for the paper's five SNAP
 //!   datasets (YT, WK, AS, LJ, TW) preserving |E|/|V| ratio and skew,

@@ -11,14 +11,15 @@
 //!   (destination interval, column start) pair per *non-empty* block. Empty
 //!   blocks cost nothing, so memory is O(E + P) for any `P` — including the
 //!   pathological `P = |V|`.
-//! * **Dynamic overlay.** §5 updates land in an overlay of *touched* blocks:
-//!   a copy-on-write delta over each block's column range (overwritten slots
-//!   plus appended edges) with the block's reserved slack and overflow
-//!   segment count, held in a slot per indexed block (allocated on the first
-//!   update) or, for blocks the index does not list, in a map. The overlay
-//!   holds only what mutations wrote, never a second copy of the edge set;
-//!   reads merge it in block order, and
-//!   [`compacted`](EdgeStore::compacted) folds it into fresh columns.
+//! * **In-place updates.** §5 writes land where the edge lives: an added
+//!   edge fills its block's next dead column slot, and a deleted edge is
+//!   overwritten by the block's last edge, directly in the columns. A small
+//!   overlay keeps, per *touched* block, its live length, the edges
+//!   appended past its column slots (its tail) and its reserved capacity —
+//!   in a slot per indexed block (allocated on the first update) or, for
+//!   blocks the index does not list, in a map. Reads see a block as its
+//!   live column slots followed by its tail, and
+//!   [`compacted`](EdgeStore::compacted) folds the tails into fresh columns.
 
 use crate::edgelist::EdgeList;
 use crate::partition::{BlockId, IntervalPartition};
@@ -62,213 +63,150 @@ impl Columns {
         Columns { data: buffer, n }
     }
 
-    fn src(&self) -> &[u32] {
-        &self.data[..self.n]
-    }
-
     fn dst(&self) -> &[u32] {
         &self.data[self.n..2 * self.n]
     }
 
-    fn weight(&self) -> &[u32] {
-        &self.data[2 * self.n..]
+    /// The edge in slot `i`.
+    fn get(&self, i: usize) -> Edge {
+        let n = self.n;
+        edge(self.data[i], self.data[n + i], self.data[2 * n + i])
     }
 
-    /// A block's edges: its column slots `base`, as `touched` rewrote them.
+    /// Overwrites slot `i` with `e`.
+    fn set(&mut self, i: usize, e: &Edge) {
+        let n = self.n;
+        [self.data[i], self.data[n + i], self.data[2 * n + i]] = triple(e);
+    }
+
+    /// The edges in slots `range`, by value.
+    fn edges(&self, range: Range<usize>) -> impl Iterator<Item = Edge> + '_ {
+        let n = self.n;
+        let at = |k: usize| &self.data[k * n + range.start..k * n + range.end];
+        at(0)
+            .iter()
+            .zip(at(1))
+            .zip(at(2))
+            .map(|((&s, &d), &w)| edge(s, d, w))
+    }
+
+    /// A block's edges: the first `len` of its column slots `base`, then
+    /// `tail`.
     fn view<'a>(&'a self, base: Range<usize>, touched: Option<&'a TouchedBlock>) -> BlockEdges<'a> {
-        let (live, patches, tail): (_, &[_], &[_]) = match touched {
-            Some(t) => (
-                base.start..base.start + t.len.min(base.len()),
-                &t.patches,
-                &t.tail,
-            ),
-            None => (base, &[], &[]),
-        };
+        let (len, tail) = touched.map_or((base.len(), &[][..]), |t| {
+            (t.len.min(base.len()), &t.tail[..])
+        });
         BlockEdges {
-            src: &self.src()[live.clone()],
-            dst: &self.dst()[live.clone()],
-            weight: &self.weight()[live],
-            patches,
+            cols: self,
+            slots: base.start..base.start + len,
             tail: tail.iter(),
-            next: 0,
         }
     }
 }
 
-/// §5 state of a block written since its columns were laid out.
+/// §5 state of a block written since its columns were laid out. Writes to
+/// the block's own column slots go straight into the columns; only what
+/// does not fit there lives here.
 #[derive(Debug, Clone)]
 struct TouchedBlock {
-    /// The block's column range when the store was built.
-    base: Range<usize>,
-    /// Current edge count; base slots at `len..` are dead.
+    /// Current edge count; column slots at `len..` are dead.
     len: usize,
-    /// Base slots overwritten by swap-removes, sorted by position.
-    patches: Vec<(usize, Edge)>,
-    /// The edges at positions `base.len()..len`.
+    /// The edges appended past the block's column slots.
     tail: Vec<Edge>,
     /// Capacity laid out for the block (edges + slack).
     reserved: usize,
-    /// Extra segments chained past the reserved space.
-    overflow_segments: u32,
 }
 
 impl TouchedBlock {
-    fn new(base: Range<usize>) -> Self {
-        let len = base.len();
+    /// A block laid out with `len` column slots.
+    fn new(len: usize) -> Self {
         let slack = (len as f64 * DEFAULT_RESERVE_FRACTION).ceil() as usize;
         TouchedBlock {
-            base,
             len,
-            patches: Vec::new(),
             tail: Vec::new(),
             // Even empty blocks get a minimal slot so additions stay O(1).
             reserved: (len + slack).max(4),
-            overflow_segments: 0,
         }
     }
 
-    /// Writes position `i ≤ len`.
-    fn set(&mut self, i: usize, e: Edge) {
-        if let Some(j) = i.checked_sub(self.base.len()) {
-            if j == self.tail.len() {
-                self.tail.push(e);
-            } else {
-                self.tail[j] = e;
-            }
+    /// Appends an edge into the block's next dead column slot, else its
+    /// tail: `true` if it fit the reserved space, `false` if an overflow
+    /// segment had to be linked (§5).
+    fn push(&mut self, cols: &mut Columns, base: Range<usize>, e: Edge) -> bool {
+        if self.len < base.len() {
+            cols.set(base.start + self.len, &e);
         } else {
-            match self.patches.binary_search_by_key(&i, |&(pos, _)| pos) {
-                Ok(k) => self.patches[k].1 = e,
-                Err(k) => self.patches.insert(k, (i, e)),
-            }
+            self.tail.push(e);
         }
-    }
-
-    /// Appends an edge: `true` if it fit the reserved space, `false` if an
-    /// overflow segment had to be linked (§5).
-    fn push(&mut self, e: Edge) -> bool {
-        self.set(self.len, e);
         self.len += 1;
         if self.len <= self.reserved {
             return true;
         }
-        self.overflow_segments += 1;
         self.reserved =
             self.len + ((self.len as f64 * DEFAULT_RESERVE_FRACTION).ceil() as usize).max(4);
         false
     }
 
-    /// Removes the first edge `s → d` by moving the block's last edge into
-    /// its slot (§5 deletion).
-    fn remove(&mut self, cols: &Columns, s: u32, d: u32) -> Option<Edge> {
-        let edges = cols.view(self.base.clone(), Some(self));
-        let (pos, removed) = edges.find(s, d)?;
-        let last = edges.last()?;
-        self.set(pos, last);
+    /// Removes the edge at position `pos < len` by moving the block's last
+    /// edge into its slot (§5 deletion).
+    fn remove(&mut self, cols: &mut Columns, base: Range<usize>, pos: usize) -> Edge {
         self.len -= 1;
-        if self.len >= self.base.len() {
-            self.tail.pop();
-        } else if let Ok(k) = self.patches.binary_search_by_key(&self.len, |&(p, _)| p) {
-            self.patches.remove(k);
+        let last = match self.tail.pop() {
+            Some(e) => e,
+            None => cols.get(base.start + self.len),
+        };
+        if pos == self.len {
+            return last;
         }
-        Some(removed)
+        match pos.checked_sub(base.len()) {
+            Some(j) => std::mem::replace(&mut self.tail[j], last),
+            None => {
+                let removed = cols.get(base.start + pos);
+                cols.set(base.start + pos, &last);
+                removed
+            }
+        }
     }
 }
 
-/// One block's edges, in order.
-#[derive(Debug, Clone)]
+/// One block's edges, in order: its live column slots, then its tail.
+#[derive(Clone)]
 pub struct BlockEdges<'a> {
-    /// The block's live column slots (the first `min(len, base)` of them).
-    src: &'a [u32],
-    dst: &'a [u32],
-    weight: &'a [u32],
-    /// Overlay writes over those slots still ahead, sorted by position.
-    patches: &'a [(usize, Edge)],
+    cols: &'a Columns,
+    /// The block's live column slots still ahead.
+    slots: Range<usize>,
     /// Edges appended past the column slots.
     tail: std::slice::Iter<'a, Edge>,
-    next: usize,
 }
 
 impl Iterator for BlockEdges<'_> {
     type Item = Edge;
 
     fn next(&mut self) -> Option<Edge> {
-        let i = self.next;
-        if i == self.src.len() {
-            return self.tail.next().copied();
+        match self.slots.next() {
+            Some(i) => Some(self.cols.get(i)),
+            None => self.tail.next().copied(),
         }
-        self.next += 1;
-        if let Some((&(pos, e), rest)) = self.patches.split_first() {
-            if pos == i {
-                self.patches = rest;
-                return Some(e);
-            }
-        }
-        Some(edge(self.src[i], self.dst[i], self.weight[i]))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.src.len() - self.next + self.tail.len();
+        let left = self.slots.len() + self.tail.len();
         (left, Some(left))
     }
 
-    fn last(self) -> Option<Edge> {
-        if let Some(&e) = self.tail.as_slice().last() {
-            return Some(e);
-        }
-        let i = self.src.len().checked_sub(1).filter(|&i| i >= self.next)?;
-        Some(match self.patches.last() {
-            Some(&(pos, e)) if pos == i => e,
-            _ => edge(self.src[i], self.dst[i], self.weight[i]),
-        })
-    }
-
-    /// Internal iteration streams the column slices between patches.
+    /// Internal iteration streams the column slices, then the tail.
     fn fold<B, F: FnMut(B, Edge) -> B>(self, init: B, mut f: F) -> B {
-        let (mut acc, mut i, mut patches) = (init, self.next, self.patches);
-        let n = self.src.len();
-        while i < n {
-            let end = patches.first().map_or(n, |&(pos, _)| pos);
-            let run = self.src[i..end]
-                .iter()
-                .zip(&self.dst[i..end])
-                .zip(&self.weight[i..end]);
-            for ((&s, &d), &w) in run {
-                acc = f(acc, edge(s, d, w));
-            }
-            if let Some((&(_, e), rest)) = patches.split_first() {
-                acc = f(acc, e);
-                patches = rest;
-            }
-            i = end + 1;
-        }
+        let acc = self.cols.edges(self.slots).fold(init, &mut f);
         self.tail.fold(acc, |acc, &e| f(acc, e))
     }
 }
 
 impl ExactSizeIterator for BlockEdges<'_> {}
 
-impl BlockEdges<'_> {
-    /// The first position (from the start of the block) holding an edge
-    /// `s → d`, and that edge: a scan of the column slices between patches.
-    fn find(&self, s: u32, d: u32) -> Option<(usize, Edge)> {
-        let is = |e: &Edge| e.src.raw() == s && e.dst.raw() == d;
-        let n = self.src.len();
-        let mut from = 0;
-        let patches = self.patches.iter().map(|&(pos, e)| (pos, Some(e)));
-        for (pos, patch) in patches.chain([(n, None)]) {
-            let run = self.src[from..pos].iter().zip(&self.dst[from..pos]);
-            if let Some(i) = run.clone().position(|(&a, &b)| a == s && b == d) {
-                let k = from + i;
-                return Some((k, edge(s, d, self.weight[k])));
-            }
-            if let Some(e) = patch.filter(is) {
-                return Some((pos, e));
-            }
-            from = pos + 1;
-        }
-        let tail = self.tail.as_slice();
-        let i = tail.iter().position(is)?;
-        Some((n + i, tail[i]))
+/// Lists the edges still ahead, not the whole store's columns.
+impl std::fmt::Debug for BlockEdges<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.clone()).finish()
     }
 }
 
@@ -302,18 +240,18 @@ impl Overlay {
         }
     }
 
-    /// The block's state, created from its column range on first touch.
-    fn touch(&mut self, index: &BlockIndex, slot: Slot) -> &mut TouchedBlock {
+    /// The block's state, created on first touch from the `base_len`
+    /// column slots of a block in an index listing `listed` blocks.
+    fn touch(&mut self, slot: Slot, listed: usize, base_len: usize) -> &mut TouchedBlock {
+        let new = || TouchedBlock::new(base_len);
         match slot {
             Slot::Indexed(k) => {
                 if self.indexed.is_empty() {
-                    self.indexed.resize_with(index.dst.len(), || None);
+                    self.indexed.resize_with(listed, || None);
                 }
-                self.indexed[k].get_or_insert_with(|| TouchedBlock::new(index.range_at(k)))
+                self.indexed[k].get_or_insert_with(new)
             }
-            Slot::Fresh(key) => (self.fresh)
-                .entry(key)
-                .or_insert_with(|| TouchedBlock::new(0..0)),
+            Slot::Fresh(key) => self.fresh.entry(key).or_insert_with(new),
         }
     }
 }
@@ -453,8 +391,9 @@ impl EdgeStore {
         }
     }
 
-    /// True when no dynamic update is pending in the overlay, so the
-    /// columns and [`block_ranges`](Self::block_ranges) are the whole graph.
+    /// True when no block was written since the columns were laid out, so
+    /// the columns and [`block_ranges`](Self::block_ranges) are the whole
+    /// graph.
     pub fn is_compact(&self) -> bool {
         self.overlay.is_empty()
     }
@@ -471,12 +410,24 @@ impl EdgeStore {
             .map_or(Slot::Fresh(key), Slot::Indexed)
     }
 
-    fn view_at(&self, slot: Slot) -> BlockEdges<'_> {
-        let base = match slot {
+    /// The block's column slots: its index range, if listed.
+    fn base(&self, slot: Slot) -> Range<usize> {
+        match slot {
             Slot::Indexed(k) => self.index.range_at(k),
             Slot::Fresh(_) => 0..0,
-        };
-        self.cols.view(base, self.overlay.get(slot))
+        }
+    }
+
+    fn view_at(&self, slot: Slot) -> BlockEdges<'_> {
+        self.cols.view(self.base(slot), self.overlay.get(slot))
+    }
+
+    /// The block's overlay state (created on first touch), the columns it
+    /// writes into and its column slots.
+    fn touch(&mut self, slot: Slot) -> (&mut TouchedBlock, &mut Columns, Range<usize>) {
+        let base = self.base(slot);
+        let block = self.overlay.touch(slot, self.index.dst.len(), base.len());
+        (block, &mut self.cols, base)
     }
 
     /// The edges of block (src interval, dst interval), overlay included —
@@ -499,8 +450,8 @@ impl EdgeStore {
     }
 
     /// The indexed non-empty blocks and their column ranges, row-major.
-    /// This is the columns' view only: it ignores pending overlay updates,
-    /// so call it on a [compact](Self::is_compact) store.
+    /// The ranges know nothing of blocks' live lengths or tails, so call it
+    /// on a [compact](Self::is_compact) store.
     pub fn block_ranges(&self) -> impl Iterator<Item = (BlockId, Range<usize>)> + '_ {
         (0..self.p).flat_map(move |src| {
             let index = &self.index;
@@ -551,29 +502,28 @@ impl EdgeStore {
     /// The edges in a column `range` (as produced by
     /// [`block_ranges`](Self::block_ranges)), materialised by value.
     pub fn edges_in(&self, range: Range<usize>) -> impl Iterator<Item = Edge> + '_ {
-        let c = &self.cols;
-        c.src()[range.clone()]
-            .iter()
-            .zip(&c.dst()[range.clone()])
-            .zip(&c.weight()[range])
-            .map(|((&s, &d), &w)| edge(s, d, w))
+        self.cols.edges(range)
     }
 
-    /// Out-degree of every vertex. Edges to reserved padding slots beyond
-    /// the vertex count (dynamic updates) grow the vector rather than panic.
+    /// Out-degree of every vertex. An edge with either endpoint in a
+    /// reserved padding slot beyond the vertex count (dynamic updates) grows
+    /// the vector to cover that slot rather than panic, so a result longer
+    /// than [`num_vertices`](Self::num_vertices) flags such edges.
     pub fn out_degrees(&self) -> Vec<u32> {
         let mut deg = vec![0u32; self.num_vertices as usize];
         self.iter_edges().for_each(|e| {
-            if e.src.index() >= deg.len() {
-                deg.resize(e.src.index() + 1, 0);
+            let top = e.src.index().max(e.dst.index());
+            if top >= deg.len() {
+                deg.resize(top + 1, 0);
             }
             deg[e.src.index()] += 1;
         });
         deg
     }
 
-    /// Folds the overlay into fresh columns and index: the same blocks and
-    /// edge order, with nothing pending. O(E + P + touched blocks).
+    /// Lays the live edges out in fresh columns and index — dead slots
+    /// dropped, tails folded in: the same blocks and edge order, with
+    /// nothing pending. O(E + P + touched blocks).
     pub fn compacted(&self) -> EdgeStore {
         let mut index = BlockIndex::default();
         let mut triples = Vec::with_capacity(self.num_edges as usize);
@@ -595,27 +545,27 @@ impl EdgeStore {
         }
     }
 
-    /// Appends `e` to block (src, dst) through the overlay. Returns `true`
-    /// if it fit the block's reserved space, `false` if an overflow segment
-    /// had to be linked.
+    /// Appends `e` to block (src, dst): into a dead column slot of the
+    /// block if it has one, else onto its tail. Returns `true` if it fit the
+    /// block's reserved space, `false` if an overflow segment had to be
+    /// linked.
     pub(crate) fn push_edge(&mut self, src: u32, dst: u32, e: Edge) -> bool {
         self.num_edges += 1;
-        let slot = self.slot(src, dst);
-        self.overlay.touch(&self.index, slot).push(e)
+        let (block, cols, base) = self.touch(self.slot(src, dst));
+        block.push(cols, base, e)
     }
 
-    /// Removes the first edge `s → d` from block (src, dst) by swapping in
-    /// the block's last edge (§5 deletion).
+    /// Removes the first edge `s → d` from block (src, dst) by moving the
+    /// block's last edge into its slot (§5 deletion). A block that does not
+    /// hold the edge is left untouched.
     pub(crate) fn remove_edge(&mut self, src: u32, dst: u32, s: u32, d: u32) -> Option<Edge> {
         let slot = self.slot(src, dst);
-        // An untouched block enters the overlay only if it holds the edge.
-        if self.overlay.get(slot).is_none() {
-            self.view_at(slot).find(s, d)?;
-        }
-        let block = self.overlay.touch(&self.index, slot);
-        let removed = block.remove(&self.cols, s, d)?;
+        let pos = self
+            .view_at(slot)
+            .position(|e| e.src.raw() == s && e.dst.raw() == d)?;
         self.num_edges -= 1;
-        Some(removed)
+        let (block, cols, base) = self.touch(slot);
+        Some(block.remove(cols, base, pos))
     }
 }
 

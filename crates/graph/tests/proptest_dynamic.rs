@@ -1,8 +1,9 @@
-//! Property-based tests of [`DynamicGrid`] bookkeeping and the
-//! [`GridGraph::flat`] memo: across arbitrary mutation sequences the
-//! maintained `degrees`/`tombstones`/`logical_vertices` stay mutually
-//! consistent ([`DynamicGrid::validate`]) and the memoized flat image never
-//! goes stale — it always equals a from-scratch [`GridGraph::flatten`].
+//! Property-based tests of [`DynamicGrid`] bookkeeping and the edge store's
+//! in-place updates: across arbitrary mutation sequences the maintained
+//! `degrees`/`tombstones`/`logical_vertices` stay mutually consistent
+//! ([`DynamicGrid::validate`]), and reading the store through its overlay of
+//! touched blocks ([`GridGraph::flat`]) always equals its compacted form
+//! ([`GridGraph::flatten`]).
 
 use hyve_graph::{DynamicGrid, Edge, EdgeList, GridGraph, Mutation, MutationOutcome, VertexId};
 use proptest::prelude::*;
@@ -23,9 +24,9 @@ type OpSpec = (u8, u32, u32);
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// All four mutation kinds, applied in arbitrary order against a
-    /// populated flat cache: the bookkeeping invariants hold and the memo
-    /// matches a fresh flatten after every single step.
+    /// All four mutation kinds, applied in arbitrary order: the bookkeeping
+    /// invariants hold and the overlay's reads match a fresh compaction
+    /// after every single step.
     #[test]
     fn invariants_hold_and_flat_cache_never_goes_stale(
         g in arb_graph(),
@@ -37,8 +38,8 @@ proptest! {
         let mut d = DynamicGrid::new(grid, 0.05);
         for (kind, a, b) in ops {
             let nv = d.num_vertices();
-            // Populate the memo BEFORE mutating — the stale-cache hazard
-            // under test is a mutator that forgets to invalidate it.
+            // Read the store between writes: it keeps no derived state a
+            // write could leave behind.
             let _ = d.grid().flat();
             let _ = match kind % 4 {
                 0 => d.apply(Mutation::AddEdge(Edge::new(a % nv, b % nv))),
@@ -54,7 +55,8 @@ proptest! {
 
     /// With a zero vertex reserve every append exhausts the (empty) reserve
     /// immediately: each AddVertex takes the full re-preprocessing path, and
-    /// the rebuilt grid keeps the invariants and a coherent flat image.
+    /// the rebuilt grid keeps the invariants and reads equal to its
+    /// compaction.
     #[test]
     fn vertex_growth_forces_repartition_and_stays_consistent(
         g in arb_graph(),

@@ -63,8 +63,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Re-analyse the evolved graph without a full preprocessing pass:
-    // flatten the mutated grid straight back into the engine.
-    let evolved = hyve.grid().to_edge_list();
+    // flatten the mutated grid's live edges (deleted vertices' inert edges
+    // dropped) straight back into the engine.
+    let evolved = hyve.live_edge_list();
     let engine = session(SystemConfig::hyve_opt());
     let report = engine.run_on_edge_list(&PageRank::new(10), &evolved)?;
     println!(

@@ -25,6 +25,9 @@ cargo test -q
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+echo "==> perfbench self-tests (the benchmark must build against this tree)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> golden reports"
 cargo test -q --test golden_reports
 
