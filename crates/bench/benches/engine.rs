@@ -1,10 +1,9 @@
 //! Criterion benchmarks of the simulators themselves: one full PR run on
-//! the scaled YouTube graph per memory hierarchy, the GraphR engine, and a
-//! sequential-vs-parallel session sweep over the Fig. 16 configuration set.
+//! the scaled YouTube graph per memory hierarchy, and the GraphR engine.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use hyve_algorithms::PageRank;
-use hyve_core::{ExecutionStrategy, SimulationSession, SystemConfig};
+use hyve_core::{SimulationSession, SystemConfig};
 use hyve_graph::DatasetProfile;
 use hyve_graphr::GraphrEngine;
 use std::hint::black_box;
@@ -48,55 +47,5 @@ fn bench_graphr_engine(c: &mut Criterion) {
     group.finish();
 }
 
-/// The Fig. 16 workload — one algorithm swept across the five memory
-/// hierarchies — under a sequential session and parallel sessions with 2, 4
-/// and 8 threads. The swept reports are bit-identical across all four
-/// variants; only wall-clock should differ.
-fn bench_parallel_sweep(c: &mut Criterion) {
-    let graph = DatasetProfile::youtube_scaled().generate(2018);
-    let configs = [
-        SystemConfig::acc_dram(),
-        SystemConfig::acc_reram(),
-        SystemConfig::acc_sram_dram(),
-        SystemConfig::hyve(),
-        SystemConfig::hyve_opt(),
-    ];
-    let mut group = c.benchmark_group("fig16_sweep_pr2_yt");
-    group.sample_size(10);
-    for strategy in [
-        ExecutionStrategy::Sequential,
-        ExecutionStrategy::Parallel { threads: 2 },
-        ExecutionStrategy::Parallel { threads: 4 },
-        ExecutionStrategy::Parallel { threads: 8 },
-    ] {
-        let label = match strategy {
-            ExecutionStrategy::Sequential => "sequential".to_string(),
-            ExecutionStrategy::Parallel { threads } => format!("parallel-{threads}"),
-        };
-        let session = SimulationSession::builder(SystemConfig::hyve())
-            .strategy(strategy)
-            .build()
-            .expect("valid");
-        group.bench_with_input(
-            BenchmarkId::from_parameter(label),
-            &session,
-            |b, session| {
-                b.iter(|| {
-                    let reports = session
-                        .sweep(&PageRank::new(2), black_box(&graph), &configs)
-                        .expect("sweep");
-                    black_box(reports.len())
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_hyve_engine,
-    bench_graphr_engine,
-    bench_parallel_sweep
-);
+criterion_group!(benches, bench_hyve_engine, bench_graphr_engine);
 criterion_main!(benches);

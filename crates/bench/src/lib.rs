@@ -1,10 +1,10 @@
 //! # hyve-bench — experiment harness for the HyVE reproduction
 //!
-//! One module (and one binary) per table and figure of the paper's
-//! evaluation. Each experiment returns structured rows so the binaries, the
-//! `all_experiments` driver and the tests share one implementation.
+//! One module per table and figure of the paper's evaluation. Each
+//! experiment returns structured rows so the `all_experiments` binary and
+//! the tests share one implementation.
 //!
-//! | paper artifact | module | binary |
+//! | paper artifact | module | `--only` name |
 //! |---|---|---|
 //! | Table 1 (Navg) | [`experiments::table1`] | `table1` |
 //! | Table 3 (bank configs) | [`experiments::table3`] | `table3` |
@@ -22,9 +22,11 @@
 //! | Fig. 19 (preprocessing time) | [`experiments::fig19`] | `fig19` |
 //! | Fig. 20 (dynamic throughput) | [`experiments::fig20`] | `fig20` |
 //! | Fig. 21 (GraphR comparison) | [`experiments::fig21`] | `fig21` |
+//! | Ablation (beyond the paper) | [`experiments::ablation`] | `ablation` |
 //!
 //! `cargo run -p hyve-bench --release --bin all_experiments` regenerates
-//! everything in sequence.
+//! everything in sequence; append
+//! `-- --only <name>[,<name>…]` to regenerate only the named artifacts.
 
 #![forbid(unsafe_code)]
 

@@ -51,3 +51,17 @@ fn report_on_unparsable_artifact_exits_one() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     std::fs::remove_file(path).ok();
 }
+
+#[test]
+fn sram_size_whose_byte_count_overflows_is_a_usage_error() {
+    // 2^44 MB is 2^64 bytes: the byte count would wrap to 0.
+    for mb in ["17592186044416", "18446744073709551615"] {
+        let out = run(&["run", "--alg", "pr", "--dataset", "yt", "--sram-mb", mb]);
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("SRAM capacity of {mb} MB overflows")),
+            "{stderr}"
+        );
+    }
+}

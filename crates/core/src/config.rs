@@ -194,7 +194,8 @@ impl SystemConfig {
     /// # Errors
     ///
     /// [`CoreError::InvalidConfig`] when PU count / density / SRAM size is
-    /// zero, or power gating is requested on a volatile (DRAM) edge memory.
+    /// zero, the SRAM size in bytes does not fit in a `u64`, or power gating
+    /// is requested on a volatile (DRAM) edge memory.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.num_pus == 0 {
             return Err(CoreError::InvalidConfig {
@@ -209,6 +210,11 @@ impl SystemConfig {
         if self.sram_mb == Some(0) {
             return Err(CoreError::InvalidConfig {
                 message: "SRAM capacity must be positive when present".into(),
+            });
+        }
+        if let Some(mb) = self.sram_mb.filter(|&mb| mb > u64::MAX >> 20) {
+            return Err(CoreError::InvalidConfig {
+                message: format!("SRAM capacity of {mb} MB overflows its byte count"),
             });
         }
         if self.dataset_scale == 0 {
@@ -279,6 +285,19 @@ mod tests {
         assert!(SystemConfig::hyve().with_num_pus(0).validate().is_err());
         assert!(SystemConfig::hyve().with_density(0).validate().is_err());
         assert!(SystemConfig::hyve().with_sram_mb(0).validate().is_err());
+    }
+
+    #[test]
+    fn sram_size_whose_byte_count_overflows_is_rejected() {
+        let max = u64::MAX >> 20;
+        SystemConfig::hyve().with_sram_mb(max).validate().unwrap();
+        for mb in [max + 1, 1 << 44, u64::MAX] {
+            let err = SystemConfig::hyve()
+                .with_sram_mb(mb)
+                .validate()
+                .unwrap_err();
+            assert!(err.to_string().contains(&format!("{mb} MB")), "{err}");
+        }
     }
 
     #[test]

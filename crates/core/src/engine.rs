@@ -29,28 +29,11 @@ use crate::error::CoreError;
 use crate::exec::{fan_out_mut, BlockPlan, ExecutionStrategy};
 use crate::hierarchy::{HierarchyInstance, HierarchySpec};
 use crate::pu::ProcessingUnit;
-use crate::stats::{PhaseTimes, RunReport, RunTrace};
+use crate::stats::{PhaseTimes, RunReport};
 use crate::trace::{SharedSink, TraceChannel, TraceEvent};
 use hyve_algorithms::{EdgeProgram, ExecutionMode, GraphMeta, IterationBound};
-use hyve_graph::{EdgeList, EdgeStore, GraphError, GridGraph, VertexId};
+use hyve_graph::{EdgeStore, GraphError, GridGraph, VertexId};
 use hyve_memsim::{FaultPlan, Time};
-
-/// Cost of the one-shot preprocessing step: writing the partitioned edge
-/// data into the edge memory and the initial vertex values into the global
-/// vertex memory (§3.1: "during the algorithm initialization, the edge data
-/// go through a one-shot preprocessing step and are written into the
-/// memory"). Excluded from steady-state run reports, matching the paper.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PreprocessingReport {
-    /// Edge data written (bits), including block headers.
-    pub edge_bits: u64,
-    /// Initial vertex data written (bits).
-    pub vertex_bits: u64,
-    /// Total write energy.
-    pub energy: hyve_memsim::Energy,
-    /// Total write time (sequential stream).
-    pub time: Time,
-}
 
 /// One PU's reusable per-run working memory, threaded through
 /// [`fan_out_mut`] each iteration so the hot loop never allocates.
@@ -100,29 +83,16 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
-    /// Validates the configuration, lowers it into a
-    /// [`HierarchySpec`] and constructs every device model once.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidConfig`] from [`SystemConfig::validate`] or
-    /// device-model construction.
-    pub(crate) fn try_new(config: SystemConfig) -> Result<Self, CoreError> {
-        Engine::try_new_with_faults(config, FaultPlan::none())
-    }
-
-    /// Like [`try_new`](Self::try_new), with a fault-injection plan lowered
-    /// into the hierarchy spec. An inert plan ([`FaultPlan::none()`])
-    /// produces exactly the engine `try_new` builds.
+    /// Validates the configuration, lowers it into a [`HierarchySpec`]
+    /// with the fault-injection plan and constructs every device model
+    /// once. An inert plan ([`FaultPlan::none()`]) leaves the fault path
+    /// disabled.
     ///
     /// # Errors
     ///
     /// [`CoreError::InvalidConfig`] from configuration or plan validation,
     /// or device-model construction.
-    pub(crate) fn try_new_with_faults(
-        config: SystemConfig,
-        faults: FaultPlan,
-    ) -> Result<Self, CoreError> {
+    pub(crate) fn new(config: SystemConfig, faults: FaultPlan) -> Result<Self, CoreError> {
         config.validate()?;
         let mut spec = HierarchySpec::lower(&config);
         spec.faults = faults;
@@ -149,7 +119,7 @@ impl Engine {
     /// the PU count such that `2·N` intervals (N source + N destination
     /// sections) fit in on-chip memory. Configurations without on-chip
     /// vertex memory use `P = N` (scheduling granularity only).
-    pub fn plan_intervals<P: EdgeProgram>(&self, program: &P, num_vertices: u32) -> u32 {
+    pub(crate) fn plan_intervals<P: EdgeProgram>(&self, program: &P, num_vertices: u32) -> u32 {
         let n = self.config.num_pus;
         let Some(sram_mb) = self.config.sram_mb else {
             return n.min(num_vertices.max(1));
@@ -162,80 +132,20 @@ impl Engine {
         let bytes_per_vertex = (u64::from(program.value_bits()).div_ceil(8)).max(1) * state_words;
         // Effective capacity: the physical SRAM shrunk by the dataset scale,
         // so the vertex-data : SRAM ratio matches the full-size experiment.
-        let sram_bytes = (sram_mb * 1024 * 1024 / u64::from(self.config.dataset_scale)).max(1);
-        let needed = 2 * u64::from(n) * u64::from(num_vertices) * bytes_per_vertex;
-        let min_p = needed.div_ceil(sram_bytes).max(1) as u32;
+        // `validate` bounds `sram_mb` so the byte count cannot wrap.
+        let sram_bytes = ((sram_mb << 20) / u64::from(self.config.dataset_scale)).max(1);
+        // Wide arithmetic: `2·N·|V|·bytes` can pass u64, and `P` may only
+        // narrow to u32 after the cap at |V|.
+        let needed = 2 * u128::from(n) * u128::from(num_vertices) * u128::from(bytes_per_vertex);
+        let min_p = needed.div_ceil(u128::from(sram_bytes)).max(1);
         // Round up to a multiple of N, cap at the vertex count.
-        let p = min_p.div_ceil(n) * n;
-        p.min(num_vertices.max(1)).max(1)
+        let p = min_p.div_ceil(u128::from(n)) * u128::from(n);
+        p.min(u128::from(num_vertices.max(1))) as u32
     }
 
-    /// Partitions the edge list with the planned interval count and runs.
-    /// Test-only shorthand: the session layer has its own report-only
-    /// wrappers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration validation and partitioning errors.
-    #[cfg(test)]
-    pub fn run_on_edge_list<P: EdgeProgram>(
-        &self,
-        program: &P,
-        graph: &EdgeList,
-    ) -> Result<RunReport, CoreError> {
-        self.run_on_edge_list_with_values(program, graph)
-            .map(|(report, _)| report)
-    }
-
-    /// Like [`run_on_edge_list`](Self::run_on_edge_list), also returning the
-    /// final vertex values.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration validation and partitioning errors.
-    pub fn run_on_edge_list_with_values<P: EdgeProgram>(
-        &self,
-        program: &P,
-        graph: &EdgeList,
-    ) -> Result<(RunReport, Vec<P::Value>), CoreError> {
-        let p = self.plan_intervals(program, graph.num_vertices());
-        let grid = GridGraph::partition(graph, p)?;
-        self.run_with_values(program, &grid)
-    }
-
-    /// Runs over an existing grid. The grid's interval count must be a
-    /// multiple of the PU count.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Unschedulable`] when `P mod N ≠ 0`; configuration errors
-    /// otherwise.
-    #[cfg(test)]
-    pub fn run<P: EdgeProgram>(
-        &self,
-        program: &P,
-        grid: &GridGraph,
-    ) -> Result<RunReport, CoreError> {
-        self.run_with_values(program, grid).map(|(r, _)| r)
-    }
-
-    /// Like [`run`](Self::run), also returning final vertex values.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn run_with_values<P: EdgeProgram>(
-        &self,
-        program: &P,
-        grid: &GridGraph,
-    ) -> Result<(RunReport, Vec<P::Value>), CoreError> {
-        self.run_traced(program, grid, ExecutionStrategy::Sequential, true, None)
-            .map(|(report, values, _)| (report, values))
-    }
-
-    /// Runs under an explicit [`ExecutionStrategy`], returning the report,
-    /// the final vertex values, and the per-iteration [`RunTrace`]. Any
-    /// thread count yields output bit-identical to the sequential path:
+    /// Runs over an existing grid under an explicit [`ExecutionStrategy`],
+    /// returning the report and the final vertex values. Any thread count
+    /// yields output bit-identical to the sequential path:
     /// per-PU outcomes are pure functions of the iteration-start snapshot
     /// and reduce in fixed PU order (see [`crate::exec`]).
     ///
@@ -255,14 +165,14 @@ impl Engine {
     /// [`CoreError::MaxIterationsExceeded`] (carrying the partial report)
     /// when a converge-bound program is still changing values at its
     /// iteration cap.
-    pub(crate) fn run_traced<P: EdgeProgram>(
+    pub(crate) fn run<P: EdgeProgram>(
         &self,
         program: &P,
         grid: &GridGraph,
         strategy: ExecutionStrategy,
         skip_clean: bool,
         sink: Option<&SharedSink>,
-    ) -> Result<(RunReport, Vec<P::Value>, RunTrace), CoreError> {
+    ) -> Result<(RunReport, Vec<P::Value>), CoreError> {
         let n = self.config.num_pus;
         let p = grid.num_intervals();
         if p < n {
@@ -314,13 +224,13 @@ impl Engine {
         }
 
         // ---- functional pass -------------------------------------------
-        let (values, trace) = self.functional_run(
+        let (values, iterations, last_changed) = self.functional_run(
             program, grid, store, &meta, &plan, strategy, skip_clean, sink,
         );
 
         // ---- cost pass --------------------------------------------------
         let w = Workload::for_run(program, grid, &plan, self.config.num_pus);
-        let report = self.account(program, trace.iterations, &w);
+        let report = self.account(program, iterations, &w);
 
         if let Some(sink) = sink {
             sink.record(&TraceEvent::Phases {
@@ -337,12 +247,12 @@ impl Engine {
             }
             if let Some(gating) = self.hierarchy.gating() {
                 sink.record(&TraceEvent::GatingTransitions {
-                    transitions: gating.transitions(w.edge_bits, trace.iterations),
+                    transitions: gating.transitions(w.edge_bits, iterations),
                 });
             }
             if self.hierarchy.router().is_some() {
                 let (words, reroutes) = accounting::router_traffic(&w);
-                let iters = u64::from(trace.iterations);
+                let iters = u64::from(iterations);
                 sink.record(&TraceEvent::RouterTraffic {
                     words: words * iters,
                     reroutes: reroutes * iters,
@@ -374,7 +284,7 @@ impl Engine {
         // carrying the partial report (the trace artifact above is complete
         // either way, so observers see the capped run).
         if let IterationBound::Converge { max } = program.bound() {
-            if trace.iterations >= max && trace.changed.last().copied().unwrap_or(false) {
+            if iterations >= max && last_changed {
                 return Err(CoreError::MaxIterationsExceeded {
                     algorithm: program.name(),
                     max_iterations: max,
@@ -382,42 +292,12 @@ impl Engine {
                 });
             }
         }
-        Ok((report, values, trace))
-    }
-
-    /// Cost of the one-shot initialization write (§3.1). ReRAM's limited
-    /// write bandwidth makes this slower than on DRAM, but it happens once:
-    /// steady-state execution never writes the edge memory again.
-    ///
-    /// # Errors
-    ///
-    /// None today; kept fallible for future grid-dependent validation.
-    pub fn preprocessing_report<P: EdgeProgram>(
-        &self,
-        program: &P,
-        grid: &GridGraph,
-    ) -> Result<PreprocessingReport, CoreError> {
-        let edge_mem = self.hierarchy.edge().device();
-        let vertex_mem = self.hierarchy.global_vertex().device();
-        let edge_bits = grid.edge_storage_bits();
-        let vertex_bits = grid.vertex_storage_bits(u64::from(program.value_bits()));
-        let edge_accesses = edge_bits.div_ceil(u64::from(edge_mem.output_bits())).max(1);
-        let vertex_accesses = vertex_bits
-            .div_ceil(u64::from(vertex_mem.output_bits()))
-            .max(1);
-        let energy = edge_mem.write_energy(edge_bits) + vertex_mem.write_energy(vertex_bits);
-        let time = edge_mem.write_latency() * edge_accesses as f64
-            + vertex_mem.write_latency() * vertex_accesses as f64;
-        Ok(PreprocessingReport {
-            edge_bits,
-            vertex_bits,
-            energy,
-            time,
-        })
+        Ok((report, values))
     }
 
     /// Executes the program over the grid's edge store, one snapshot-based
-    /// pass per iteration.
+    /// pass per iteration. Returns the final values, the iterations run and
+    /// whether the last one changed any value.
     ///
     /// Each PU walks its own blocks (in schedule order) against the
     /// iteration-start snapshot — accumulate programs into a per-PU
@@ -465,7 +345,7 @@ impl Engine {
         strategy: ExecutionStrategy,
         skip_clean: bool,
         sink: Option<&SharedSink>,
-    ) -> (Vec<P::Value>, RunTrace) {
+    ) -> (Vec<P::Value>, u32, bool) {
         let nv = meta.num_vertices as usize;
         let p = store.num_intervals() as usize;
         let partition = grid.partition_info();
@@ -476,7 +356,7 @@ impl Engine {
         let mode = program.mode();
         let undirected = program.undirected();
         let mut iterations = 0;
-        let mut changed_flags = Vec::new();
+        let mut last_changed = false;
 
         let mut scratch: Vec<PuScratch<P::Value>> = (0..plan.num_pus())
             .map(|_| PuScratch {
@@ -619,7 +499,7 @@ impl Engine {
                     }
                 }
             }
-            changed_flags.push(changed);
+            last_changed = changed;
             if let Some(sink) = sink {
                 sink.record(&TraceEvent::IterationEnd {
                     iteration: iterations,
@@ -633,13 +513,7 @@ impl Engine {
                 break;
             }
         }
-        (
-            values,
-            RunTrace {
-                iterations,
-                changed: changed_flags,
-            },
-        )
+        (values, iterations, last_changed)
     }
 
     /// Computes the full energy/time report for `iterations` identical
@@ -746,23 +620,32 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SharedRecorder, SimulationSession};
     use hyve_algorithms::{reference, Bfs, ConnectedComponents, PageRank, SpMv, Sssp};
-    use hyve_graph::{Csr, DatasetProfile, Edge};
+    use hyve_graph::{Csr, DatasetProfile, Edge, EdgeList};
 
     fn small_graph() -> EdgeList {
         DatasetProfile::youtube_scaled().generate(11)
     }
 
-    /// Test shorthand: sessions own engine construction in the public API.
-    fn engine_for(cfg: SystemConfig) -> Engine {
-        Engine::try_new(cfg).unwrap()
+    /// Test shorthand: the session is the engine's only caller.
+    fn engine_for(cfg: SystemConfig) -> SimulationSession {
+        SimulationSession::builder(cfg).build().unwrap()
+    }
+
+    /// A session that injects `plan` into every run.
+    fn faulty(cfg: SystemConfig, plan: FaultPlan) -> SimulationSession {
+        SimulationSession::builder(cfg)
+            .with_faults(plan)
+            .build()
+            .unwrap()
     }
 
     #[test]
     fn pagerank_matches_reference() {
         let g = small_graph();
-        let engine = engine_for(SystemConfig::hyve_opt());
-        let (_, values) = engine
+        let session = engine_for(SystemConfig::hyve_opt());
+        let (_, values) = session
             .run_on_edge_list_with_values(&PageRank::new(5), &g)
             .unwrap();
         let csr = Csr::from_edge_list(&g);
@@ -775,9 +658,9 @@ mod tests {
     #[test]
     fn bfs_matches_reference() {
         let g = small_graph();
-        let engine = engine_for(SystemConfig::hyve());
+        let session = engine_for(SystemConfig::hyve());
         let src = VertexId::new(0);
-        let (_, values) = engine
+        let (_, values) = session
             .run_on_edge_list_with_values(&Bfs::new(src), &g)
             .unwrap();
         let csr = Csr::from_edge_list(&g);
@@ -787,8 +670,8 @@ mod tests {
     #[test]
     fn cc_matches_reference() {
         let g = small_graph();
-        let engine = engine_for(SystemConfig::hyve_opt());
-        let (_, values) = engine
+        let session = engine_for(SystemConfig::hyve_opt());
+        let (_, values) = session
             .run_on_edge_list_with_values(&ConnectedComponents::new(), &g)
             .unwrap();
         assert_eq!(values, reference::connected_components(&g));
@@ -797,9 +680,9 @@ mod tests {
     #[test]
     fn sssp_matches_reference() {
         let g = small_graph();
-        let engine = engine_for(SystemConfig::hyve_opt());
+        let session = engine_for(SystemConfig::hyve_opt());
         let src = VertexId::new(1);
-        let (_, values) = engine
+        let (_, values) = session
             .run_on_edge_list_with_values(&Sssp::new(src), &g)
             .unwrap();
         let csr = Csr::from_edge_list(&g);
@@ -816,9 +699,9 @@ mod tests {
     #[test]
     fn spmv_matches_reference() {
         let g = small_graph();
-        let engine = engine_for(SystemConfig::acc_sram_dram());
+        let session = engine_for(SystemConfig::acc_sram_dram());
         let spmv = SpMv::new();
-        let (_, values) = engine.run_on_edge_list_with_values(&spmv, &g).unwrap();
+        let (_, values) = session.run_on_edge_list_with_values(&spmv, &g).unwrap();
         let x: Vec<f32> = (0..g.num_vertices())
             .map(|v| spmv.input(VertexId::new(v)))
             .collect();
@@ -838,8 +721,8 @@ mod tests {
             SystemConfig::hyve(),
             SystemConfig::hyve_opt(),
         ] {
-            let engine = engine_for(cfg);
-            let report = engine.run_on_edge_list(&PageRank::new(3), &g).unwrap();
+            let session = engine_for(cfg);
+            let report = session.run_on_edge_list(&PageRank::new(3), &g).unwrap();
             assert!(report.energy().as_pj() > 0.0, "{}", report.config);
             assert!(report.elapsed().as_ns() > 0.0);
             assert!(report.mteps_per_watt() > 0.0);
@@ -899,10 +782,10 @@ mod tests {
         // Use scale 1 so the arithmetic is direct: 2 MB SRAM, PR needs
         // 16 bytes/vertex resident (64-bit value × 2 states);
         // 2·8·nv·16 ≤ 2 MB ⇒ nv ≤ 8192 for P = 8.
-        let engine = engine_for(SystemConfig::hyve_opt().with_dataset_scale(1));
+        let session = engine_for(SystemConfig::hyve_opt().with_dataset_scale(1));
         let pr = PageRank::new(1);
-        assert_eq!(engine.plan_intervals(&pr, 8_000), 8);
-        let p = engine.plan_intervals(&pr, 100_000);
+        assert_eq!(session.plan_intervals(&pr, 8_000), 8);
+        let p = session.plan_intervals(&pr, 100_000);
         assert!(p > 8 && p.is_multiple_of(8), "got {p}");
         // The dataset scale shrinks the effective SRAM, raising P.
         let scaled = engine_for(SystemConfig::hyve_opt().with_dataset_scale(64));
@@ -913,18 +796,27 @@ mod tests {
     }
 
     #[test]
+    fn interval_planning_caps_at_the_vertex_count_before_narrowing() {
+        // Scale u32::MAX leaves one byte of SRAM, so the minimum P passes
+        // u32::MAX; the cap at |V| must apply before the narrowing.
+        let session = engine_for(SystemConfig::hyve_opt().with_dataset_scale(u32::MAX));
+        let nv = (1 << 25) + 1;
+        assert_eq!(session.plan_intervals(&PageRank::new(1), nv), nv);
+    }
+
+    #[test]
     fn run_rejects_mismatched_grid() {
         let g = small_graph();
         let grid = GridGraph::partition(&g, 3).unwrap(); // not divisible by 8
-        let engine = engine_for(SystemConfig::hyve());
+        let session = engine_for(SystemConfig::hyve());
         assert!(matches!(
-            engine.run(&PageRank::new(1), &grid),
+            session.run(&PageRank::new(1), &grid),
             Err(CoreError::Unschedulable { .. })
         ));
     }
 
-    fn unschedulable_message(engine: &Engine, grid: &GridGraph) -> String {
-        match engine.run(&PageRank::new(1), grid) {
+    fn unschedulable_message(session: &SimulationSession, grid: &GridGraph) -> String {
+        match session.run(&PageRank::new(1), grid) {
             Err(CoreError::Unschedulable { message }) => message,
             other => panic!("expected Unschedulable, got {other:?}"),
         }
@@ -933,10 +825,10 @@ mod tests {
     #[test]
     fn too_few_intervals_reports_the_shortage() {
         let g = small_graph();
-        let engine = engine_for(SystemConfig::hyve()); // 8 PUs
+        let session = engine_for(SystemConfig::hyve()); // 8 PUs
         let grid = GridGraph::partition(&g, 4).unwrap();
         assert_eq!(
-            unschedulable_message(&engine, &grid),
+            unschedulable_message(&session, &grid),
             "4 intervals < 8 processing units"
         );
     }
@@ -944,10 +836,10 @@ mod tests {
     #[test]
     fn indivisible_intervals_report_the_divisibility() {
         let g = small_graph();
-        let engine = engine_for(SystemConfig::hyve()); // 8 PUs
+        let session = engine_for(SystemConfig::hyve()); // 8 PUs
         let grid = GridGraph::partition(&g, 12).unwrap();
         assert_eq!(
-            unschedulable_message(&engine, &grid),
+            unschedulable_message(&session, &grid),
             "12 intervals not divisible by 8 processing units"
         );
     }
@@ -955,22 +847,38 @@ mod tests {
     #[test]
     fn skipping_off_matches_skipping_on_bit_for_bit() {
         let g = small_graph();
-        let engine = engine_for(SystemConfig::hyve_opt());
         let grid = GridGraph::partition(&g, 16).unwrap();
         for threads in [0usize, 3] {
             let strategy = match threads {
                 0 => ExecutionStrategy::Sequential,
                 t => ExecutionStrategy::Parallel { threads: t },
             };
-            let (fast_report, fast_values, fast_trace) = engine
-                .run_traced(&Sssp::new(VertexId::new(0)), &grid, strategy, true, None)
-                .unwrap();
-            let (full_report, full_values, full_trace) = engine
-                .run_traced(&Sssp::new(VertexId::new(0)), &grid, strategy, false, None)
-                .unwrap();
+            // Two sessions that differ only in the skip toggle; the
+            // per-iteration `changed` flags come from each one's recorder.
+            let run = |skip: bool| {
+                let recorder = SharedRecorder::new();
+                let session = SimulationSession::builder(SystemConfig::hyve_opt())
+                    .strategy(strategy)
+                    .dirty_interval_skipping(skip)
+                    .with_trace(recorder.clone())
+                    .build()
+                    .unwrap();
+                let (report, values) = session
+                    .run_with_values(&Sssp::new(VertexId::new(0)), &grid)
+                    .unwrap();
+                let changed: Vec<(u32, bool)> = recorder
+                    .artifact()
+                    .iterations
+                    .iter()
+                    .map(|s| (s.iteration, s.changed))
+                    .collect();
+                (report, values, changed)
+            };
+            let (fast_report, fast_values, fast_changed) = run(true);
+            let (full_report, full_values, full_changed) = run(false);
             assert_eq!(fast_report, full_report);
             assert_eq!(fast_values, full_values);
-            assert_eq!(fast_trace, full_trace);
+            assert_eq!(fast_changed, full_changed);
         }
     }
 
@@ -991,8 +899,8 @@ mod tests {
         // error, and the partial report it carries still shows the doubled
         // (undirected) traversal count for that one iteration.
         let g = EdgeList::from_edges(16, (0..15).map(|i| Edge::new(i, i + 1))).unwrap();
-        let engine = engine_for(SystemConfig::hyve().with_num_pus(2));
-        match engine.run_on_edge_list(&ConnectedComponents::new().with_max_iterations(1), &g) {
+        let session = engine_for(SystemConfig::hyve().with_num_pus(2));
+        match session.run_on_edge_list(&ConnectedComponents::new().with_max_iterations(1), &g) {
             Err(CoreError::MaxIterationsExceeded {
                 algorithm,
                 max_iterations,
@@ -1011,36 +919,11 @@ mod tests {
     fn converged_runs_do_not_raise_max_iterations() {
         // With enough headroom the same program converges and returns Ok.
         let g = EdgeList::from_edges(16, (0..15).map(|i| Edge::new(i, i + 1))).unwrap();
-        let engine = engine_for(SystemConfig::hyve().with_num_pus(2));
-        let cc = engine
+        let session = engine_for(SystemConfig::hyve().with_num_pus(2));
+        let cc = session
             .run_on_edge_list(&ConnectedComponents::new(), &g)
             .unwrap();
         assert!(cc.iterations > 1);
-    }
-
-    #[test]
-    fn preprocessing_is_one_shot_and_write_dominated() {
-        let g = small_graph();
-        let engine = engine_for(SystemConfig::hyve());
-        let grid = GridGraph::partition(&g, 8).unwrap();
-        let pre = engine
-            .preprocessing_report(&PageRank::new(10), &grid)
-            .unwrap();
-        assert_eq!(pre.edge_bits, grid.edge_storage_bits());
-        assert!(pre.energy.as_pj() > 0.0);
-        assert!(pre.time.as_ns() > 0.0);
-        // ReRAM's slow writes: preprocessing on HyVE takes longer than on
-        // the all-DRAM hierarchy, but costs less energy per bit is not
-        // required — only the latency asymmetry is structural.
-        let dram_pre = engine_for(SystemConfig::acc_dram())
-            .preprocessing_report(&PageRank::new(10), &grid)
-            .unwrap();
-        assert!(
-            pre.time > dram_pre.time,
-            "{} vs {}",
-            pre.time,
-            dram_pre.time
-        );
     }
 
     #[test]
@@ -1062,19 +945,15 @@ mod tests {
     fn devices_constructed_once_per_session_not_per_run() {
         let g = small_graph();
         let before = crate::hierarchy::device_constructions();
-        let engine = engine_for(SystemConfig::hyve_opt());
+        let session = engine_for(SystemConfig::hyve_opt());
         let built = crate::hierarchy::device_constructions();
         // hyve_opt has three channels: edge ReRAM, global DRAM, local SRAM.
         assert_eq!(built - before, 3);
 
-        // Repeated runs and preprocessing reports reuse the same instance.
-        engine.run_on_edge_list(&PageRank::new(2), &g).unwrap();
-        engine
+        // Repeated runs reuse the same instance.
+        session.run_on_edge_list(&PageRank::new(2), &g).unwrap();
+        session
             .run_on_edge_list(&Bfs::new(VertexId::new(0)), &g)
-            .unwrap();
-        let grid = GridGraph::partition(&g, 8).unwrap();
-        engine
-            .preprocessing_report(&PageRank::new(1), &grid)
             .unwrap();
         assert_eq!(crate::hierarchy::device_constructions(), built);
     }
@@ -1083,23 +962,21 @@ mod tests {
     fn fault_runs_report_reliability_and_stay_seed_deterministic() {
         let g = small_graph();
         let plan = FaultPlan::parse("seed=2018,reram-ber=1e-5,dram-ber=1e-9,ecc=secded").unwrap();
-        let engine = Engine::try_new_with_faults(SystemConfig::hyve_opt(), plan.clone()).unwrap();
-        let a = engine.run_on_edge_list(&PageRank::new(5), &g).unwrap();
+        let session = faulty(SystemConfig::hyve_opt(), plan.clone());
+        let a = session.run_on_edge_list(&PageRank::new(5), &g).unwrap();
         let rel = a.reliability.as_ref().expect("active plan reports");
         assert!(rel.corrected > 0, "1e-5 BER over the edge stream corrects");
         assert!(rel.remaps.is_empty(), "no persistent faults configured");
         // Same seed, fresh engine: bit-identical outcome.
-        let again = Engine::try_new_with_faults(SystemConfig::hyve_opt(), plan)
-            .unwrap()
+        let again = faulty(SystemConfig::hyve_opt(), plan)
             .run_on_edge_list(&PageRank::new(5), &g)
             .unwrap();
         assert_eq!(a, again);
         // Different seed: the report may differ, the run still completes.
-        let other = Engine::try_new_with_faults(
+        let other = faulty(
             SystemConfig::hyve_opt(),
             FaultPlan::parse("seed=7,reram-ber=1e-5,dram-ber=1e-9,ecc=secded").unwrap(),
         )
-        .unwrap()
         .run_on_edge_list(&PageRank::new(5), &g)
         .unwrap();
         assert!(other.reliability.is_some());
@@ -1109,8 +986,9 @@ mod tests {
     fn stuck_bank_run_completes_degraded_via_sparing() {
         let g = small_graph();
         let plan = FaultPlan::parse("seed=1,stuck-bank=0:3,stuck-bank=2:1").unwrap();
-        let faulty = Engine::try_new_with_faults(SystemConfig::hyve(), plan).unwrap();
-        let report = faulty.run_on_edge_list(&PageRank::new(3), &g).unwrap();
+        let report = faulty(SystemConfig::hyve(), plan)
+            .run_on_edge_list(&PageRank::new(3), &g)
+            .unwrap();
         let rel = report.reliability.as_ref().expect("plan is active");
         assert_eq!(rel.remaps.len(), 2, "both stuck banks spared");
         assert_eq!((rel.remaps[0].chip, rel.remaps[0].bank), (0, 3));

@@ -14,7 +14,7 @@ use hyve_graph::EdgeStore;
 use std::ops::Range;
 
 /// How a [`SimulationSession`](crate::session::SimulationSession) executes
-/// the per-PU work of each iteration (and sweeps over configurations).
+/// the per-PU work of each iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionStrategy {
     /// One OS thread; PUs run in index order.

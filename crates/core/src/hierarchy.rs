@@ -2,7 +2,7 @@
 //! [`HierarchySpec`] lowered from [`SystemConfig`], and the fully
 //! constructed [`HierarchyInstance`] a
 //! [`SimulationSession`](crate::SimulationSession) builds **once** and
-//! reuses across runs and sweep points.
+//! reuses across runs.
 //!
 //! The paper's claim is that the hierarchy is *composable*: swap the edge
 //! channel (ReRAM/DRAM), the off-chip vertex channel, the on-chip tier and
@@ -16,7 +16,7 @@
 //! * **instance** — [`HierarchyInstance::build`] constructs every device
 //!   model, the per-channel cost memos ([`OpCosts`]), the inter-PU router
 //!   (§4.2) and the edge-channel power-gating controller (§4.1) exactly
-//!   once. Runs and sweeps borrow the instance read-only.
+//!   once. Runs borrow the instance read-only.
 //! * **ledgers** — each run opens a fresh [`Ledgers`] value (one
 //!   [`AccessStats`] per channel plus logic); the phase-level accounting
 //!   passes in the crate-private `accounting` module write into it, and it
@@ -256,7 +256,7 @@ impl fmt::Display for HierarchySpec {
 
 /// The constructed device model behind a channel. A closed enum (rather
 /// than a trait object) keeps [`HierarchyInstance`] — and with it the
-/// session — `Clone` and cheap to share across sweep threads.
+/// session — `Clone` and cheap to share across threads.
 #[derive(Debug, Clone)]
 enum ChannelDevice {
     Reram(ReramChip),

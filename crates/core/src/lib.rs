@@ -13,7 +13,7 @@
 //! * [`SimulationSession`] — the validated entry point: a builder that
 //!   checks the configuration once, constructs the hierarchy, and selects
 //!   an [`ExecutionStrategy`] (sequential, or a deterministic thread
-//!   fan-out over PUs and sweeps), driving a crate-private engine that
+//!   fan-out over PUs), driving a crate-private engine that
 //!   simulates Algorithm 2's super-block scheduling (loading / assigning /
 //!   rerouting / processing / synchronizing / updating), with per-edge
 //!   pipelining per Eq. (1),
@@ -54,7 +54,7 @@
 mod accounting;
 pub mod config;
 pub mod controller;
-pub mod engine;
+mod engine;
 pub mod error;
 pub mod exec;
 pub mod hierarchy;
@@ -71,7 +71,6 @@ pub use controller::{
     AddressMap, BankRemap, BankSpareMap, EdgeAddress, EdgeBuffer, ResilienceModel, StreamAnalysis,
     StreamBound,
 };
-pub use engine::PreprocessingReport;
 pub use error::CoreError;
 pub use exec::ExecutionStrategy;
 pub use hierarchy::{
@@ -82,7 +81,7 @@ pub use pu::ProcessingUnit;
 pub use router::Router;
 pub use schedule::{Assignment, SuperBlockSchedule};
 pub use session::{SessionBuilder, SimulationSession};
-pub use stats::{EnergyBreakdown, PhaseTimes, ReliabilityReport, RunReport, RunTrace};
+pub use stats::{EnergyBreakdown, PhaseTimes, ReliabilityReport, RunReport};
 pub use trace::{
     MetricsRecorder, ReliabilityTotals, SharedRecorder, SharedSink, TraceArtifact, TraceChannel,
     TraceDiff, TraceEvent, TraceSink,

@@ -30,11 +30,11 @@
 //! [`crate::exec`] for the reduction argument).
 
 use crate::config::SystemConfig;
-use crate::engine::{Engine, PreprocessingReport};
+use crate::engine::Engine;
 use crate::error::CoreError;
-use crate::exec::{fan_out, ExecutionStrategy};
+use crate::exec::ExecutionStrategy;
 use crate::hierarchy::HierarchyInstance;
-use crate::stats::{RunReport, RunTrace};
+use crate::stats::RunReport;
 use crate::trace::{SharedSink, TraceSink};
 use hyve_algorithms::EdgeProgram;
 use hyve_graph::{EdgeList, GridGraph};
@@ -81,8 +81,8 @@ impl SessionBuilder {
     ///
     /// Pass a [`SharedRecorder`](crate::SharedRecorder) clone to collect a
     /// [`TraceArtifact`](crate::TraceArtifact) you can read back after the
-    /// run. [`sweep`](SimulationSession::sweep) runs stay untraced — a
-    /// sweep point builds its own engine per configuration.
+    /// run; its `iterations` hold each iteration's `changed` flag and
+    /// block counts.
     pub fn with_trace(mut self, sink: impl TraceSink + 'static) -> Self {
         self.sink = Some(SharedSink::new(sink));
         self
@@ -99,7 +99,6 @@ impl SessionBuilder {
     /// parallel-equals-sequential guarantee holds for fault runs too. The
     /// default (and [`FaultPlan::none`]) leaves the fault path disabled and
     /// every report bit-identical to a session without this call.
-    /// [`sweep`](SimulationSession::sweep) runs stay fault-free.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
         self
@@ -125,7 +124,7 @@ impl SessionBuilder {
     /// threads. This is the single validation point: sessions never panic
     /// on construction input.
     pub fn build(self) -> Result<SimulationSession, CoreError> {
-        let engine = Engine::try_new_with_faults(self.config, self.faults)?;
+        let engine = Engine::new(self.config, self.faults)?;
         if let ExecutionStrategy::Parallel { threads: 0 } = self.strategy {
             return Err(CoreError::InvalidConfig {
                 message: "parallel execution needs at least one thread".into(),
@@ -207,7 +206,8 @@ impl SimulationSession {
         self.run_with_values(program, grid).map(|(r, _)| r)
     }
 
-    /// Like [`run`](Self::run), also returning final vertex values.
+    /// Like [`run`](Self::run), also returning final vertex values. Every
+    /// run of the session, whatever its entry point, goes through here.
     ///
     /// # Errors
     ///
@@ -217,24 +217,7 @@ impl SimulationSession {
         program: &P,
         grid: &GridGraph,
     ) -> Result<(RunReport, Vec<P::Value>), CoreError> {
-        self.run_with_trace(program, grid)
-            .map(|(report, values, _)| (report, values))
-    }
-
-    /// Like [`run_with_values`](Self::run_with_values), also returning the
-    /// per-iteration [`RunTrace`] — the handle equivalence tests use to
-    /// assert that engine optimisations leave the iteration structure (not
-    /// just the final values) untouched.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn run_with_trace<P: EdgeProgram>(
-        &self,
-        program: &P,
-        grid: &GridGraph,
-    ) -> Result<(RunReport, Vec<P::Value>, RunTrace), CoreError> {
-        self.engine.run_traced(
+        self.engine.run(
             program,
             grid,
             self.strategy,
@@ -268,61 +251,8 @@ impl SimulationSession {
         program: &P,
         graph: &EdgeList,
     ) -> Result<(RunReport, Vec<P::Value>), CoreError> {
-        let p = self.engine.plan_intervals(program, graph.num_vertices());
-        let grid = GridGraph::partition(graph, p)?;
-        self.run_with_values(program, &grid)
-    }
-
-    /// Cost of the one-shot initialization write (§3.1).
-    ///
-    /// # Errors
-    ///
-    /// Propagates device-model errors.
-    pub fn preprocessing_report<P: EdgeProgram>(
-        &self,
-        program: &P,
-        grid: &GridGraph,
-    ) -> Result<PreprocessingReport, CoreError> {
-        self.engine.preprocessing_report(program, grid)
-    }
-
-    /// Runs `program` on `graph` under every configuration in `configs`,
-    /// returning reports in input order.
-    ///
-    /// Under a parallel strategy the *configurations* fan out across
-    /// threads (the figure-sweep workload) while each run executes its PUs
-    /// sequentially, avoiding thread oversubscription; results land in
-    /// input-indexed slots, so the output is identical to a sequential
-    /// sweep — including every report's energy and phase times.
-    ///
-    /// # Errors
-    ///
-    /// The first failing configuration's error, in input order.
-    pub fn sweep<P: EdgeProgram>(
-        &self,
-        program: &P,
-        graph: &EdgeList,
-        configs: &[SystemConfig],
-    ) -> Result<Vec<RunReport>, CoreError> {
-        let results: Vec<Result<RunReport, CoreError>> =
-            fan_out(self.strategy, configs.len(), |i| {
-                let engine = Engine::try_new(configs[i].clone())?;
-                let p = engine.plan_intervals(program, graph.num_vertices());
-                let grid = GridGraph::partition(graph, p)?;
-                engine
-                    .run_traced(
-                        program,
-                        &grid,
-                        ExecutionStrategy::Sequential,
-                        self.dirty_skipping,
-                        // Sweep points stay untraced: each builds its own
-                        // engine, and interleaved event streams from
-                        // concurrent configurations would be unattributable.
-                        None,
-                    )
-                    .map(|(report, _, _)| report)
-            });
-        results.into_iter().collect()
+        let p = self.plan_intervals(program, graph.num_vertices());
+        self.run_with_values(program, &GridGraph::partition(graph, p)?)
     }
 }
 
@@ -431,31 +361,6 @@ mod tests {
                 .build(),
             Err(CoreError::InvalidConfig { .. })
         ));
-    }
-
-    #[test]
-    fn sweep_matches_individual_runs_in_order() {
-        let g = graph();
-        let configs = [
-            SystemConfig::acc_dram(),
-            SystemConfig::acc_sram_dram(),
-            SystemConfig::hyve(),
-            SystemConfig::hyve_opt(),
-        ];
-        let session = SimulationSession::builder(SystemConfig::hyve())
-            .parallel(4)
-            .build()
-            .unwrap();
-        let swept = session.sweep(&PageRank::new(3), &g, &configs).unwrap();
-        assert_eq!(swept.len(), configs.len());
-        for (cfg, report) in configs.iter().zip(&swept) {
-            let lone = SimulationSession::builder(cfg.clone())
-                .build()
-                .unwrap()
-                .run_on_edge_list(&PageRank::new(3), &g)
-                .unwrap();
-            assert_eq!(*report, lone, "{}", cfg.name);
-        }
     }
 
     #[test]
@@ -595,15 +500,5 @@ mod tests {
             let live = session.run_on_edge_list(&PageRank::new(2), &d.live_edge_list());
             assert_eq!(live.unwrap().edges_processed, 2 * 8);
         }
-    }
-
-    #[test]
-    fn sweep_surfaces_first_error_in_input_order() {
-        let g = graph();
-        let configs = [SystemConfig::hyve(), SystemConfig::hyve().with_num_pus(0)];
-        let session = SimulationSession::builder(SystemConfig::hyve())
-            .build()
-            .unwrap();
-        assert!(session.sweep(&PageRank::new(1), &g, &configs).is_err());
     }
 }

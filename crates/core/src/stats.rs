@@ -68,22 +68,6 @@ impl fmt::Display for EnergyBreakdown {
     }
 }
 
-/// Per-iteration trace of the functional pass.
-///
-/// Exposed by
-/// [`SimulationSession::run_with_trace`](crate::SimulationSession::run_with_trace)
-/// so equivalence tests can assert that engine optimisations (dirty-interval
-/// skipping, scratch reuse) leave the iteration structure untouched, not
-/// just the final values.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunTrace {
-    /// Iterations actually executed.
-    pub iterations: u32,
-    /// Whether each iteration changed at least one vertex value; one entry
-    /// per executed iteration.
-    pub changed: Vec<bool>,
-}
-
 /// Wall-clock time split across Algorithm 2's phases.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimes {

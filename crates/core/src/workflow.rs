@@ -4,12 +4,13 @@
 //! current snapshot.
 //!
 //! [`WorkingFlow`] ties the pieces together: it owns a [`DynamicGrid`],
-//! forwards mutation requests, tracks when enough has changed that the
-//! engine should re-plan its partitioning, and rebuilds the execution grid
-//! on demand.
+//! forwards mutation requests, counts the mutations since the last
+//! analysis, and analyses the live snapshot through a
+//! [`SimulationSession`] — the same run path as every other run, which
+//! re-plans the partitioning for the snapshot.
 
-use crate::engine::Engine;
 use crate::error::CoreError;
+use crate::session::SimulationSession;
 use crate::stats::RunReport;
 use hyve_algorithms::EdgeProgram;
 use hyve_graph::{DynamicGrid, EdgeList, GridGraph, Mutation, MutationOutcome};
@@ -33,28 +34,29 @@ use hyve_graph::{DynamicGrid, EdgeList, GridGraph, Mutation, MutationOutcome};
 /// ```
 #[derive(Debug, Clone)]
 pub struct WorkingFlow {
-    engine: Engine,
+    session: SimulationSession,
     dynamic: DynamicGrid,
     mutations_since_analysis: u64,
 }
 
 impl WorkingFlow {
     /// Grid granularity used for the online structure: fine enough that the
-    /// §5 O(1) updates stay cheap, independent of the engine's per-run
+    /// §5 O(1) updates stay cheap, independent of the session's per-run
     /// planning (which re-partitions the live snapshot anyway).
     const ONLINE_INTERVALS: u32 = 256;
 
-    /// Builds the flow from an initial graph.
+    /// Builds the flow from an initial graph. Analyses run on a default
+    /// session: sequential, with dirty-interval skipping and no trace sink.
     ///
     /// # Errors
     ///
     /// Propagates configuration and partitioning errors.
     pub fn new(config: crate::config::SystemConfig, graph: &EdgeList) -> Result<Self, CoreError> {
-        let engine = Engine::try_new(config)?;
+        let session = SimulationSession::builder(config).build()?;
         let p = Self::ONLINE_INTERVALS.min(graph.num_vertices().max(1));
         let grid = GridGraph::partition(graph, p)?;
         Ok(WorkingFlow {
-            engine,
+            session,
             dynamic: DynamicGrid::new(grid, 0.30),
             mutations_since_analysis: 0,
         })
@@ -62,13 +64,13 @@ impl WorkingFlow {
 
     /// The flow's configuration.
     pub fn config(&self) -> &crate::config::SystemConfig {
-        self.engine.config()
+        self.session.config()
     }
 
     /// The memory hierarchy the configuration lowered into (constructed
     /// once, reused by every [`analyze`](Self::analyze) call).
     pub fn hierarchy(&self) -> &crate::hierarchy::HierarchyInstance {
-        self.engine.hierarchy()
+        self.session.hierarchy()
     }
 
     /// The online dynamic structure.
@@ -111,11 +113,12 @@ impl WorkingFlow {
     }
 
     /// Offline path: runs a program over the live snapshot (tombstoned
-    /// vertices excluded) and returns the cost report.
+    /// vertices excluded) through the flow's session and returns the cost
+    /// report.
     ///
     /// # Errors
     ///
-    /// Propagates engine errors.
+    /// Propagates run errors.
     pub fn analyze<P: EdgeProgram>(&mut self, program: &P) -> Result<RunReport, CoreError> {
         self.analyze_with_values(program).map(|(r, _)| r)
     }
@@ -124,14 +127,14 @@ impl WorkingFlow {
     ///
     /// # Errors
     ///
-    /// Propagates engine errors.
+    /// Propagates run errors.
     pub fn analyze_with_values<P: EdgeProgram>(
         &mut self,
         program: &P,
     ) -> Result<(RunReport, Vec<P::Value>), CoreError> {
         let live = self.dynamic.live_edge_list();
         self.mutations_since_analysis = 0;
-        self.engine.run_on_edge_list_with_values(program, &live)
+        self.session.run_on_edge_list_with_values(program, &live)
     }
 }
 

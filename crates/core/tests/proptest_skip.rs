@@ -11,7 +11,7 @@
 //! message as a no-op.
 
 use hyve_algorithms::{Bfs, ConnectedComponents, EdgeProgram, PageRank, SpMv, Sssp};
-use hyve_core::{SimulationSession, SystemConfig};
+use hyve_core::{RunReport, SharedRecorder, SimulationSession, SystemConfig};
 use hyve_graph::{Edge, EdgeList, GridGraph, PartitionScheme, VertexId};
 use proptest::prelude::*;
 
@@ -40,28 +40,44 @@ fn arb_scheme() -> impl Strategy<Value = PartitionScheme> {
     })
 }
 
-/// `threads == 0` means the sequential strategy.
-fn build(skipping: bool, threads: usize) -> SimulationSession {
-    let builder =
-        SimulationSession::builder(SystemConfig::hyve()).dirty_interval_skipping(skipping);
+/// Runs `program` on a fresh session; `threads == 0` means the sequential
+/// strategy. Returns the report, the values and each iteration's
+/// `(iteration, changed)` pair as the session's trace recorder saw it.
+fn run<P: EdgeProgram>(
+    program: &P,
+    grid: &GridGraph,
+    skipping: bool,
+    threads: usize,
+) -> (RunReport, Vec<P::Value>, Vec<(u32, bool)>) {
+    let recorder = SharedRecorder::new();
+    let builder = SimulationSession::builder(SystemConfig::hyve())
+        .dirty_interval_skipping(skipping)
+        .with_trace(recorder.clone());
     let builder = if threads > 0 {
         builder.parallel(threads)
     } else {
         builder.sequential()
     };
-    builder.build().expect("preset configuration is valid")
+    let (report, values) = builder
+        .build()
+        .expect("preset configuration is valid")
+        .run_with_values(program, grid)
+        .expect("run failed");
+    let changed = recorder
+        .artifact()
+        .iterations
+        .iter()
+        .map(|s| (s.iteration, s.changed))
+        .collect();
+    (report, values, changed)
 }
 
 /// Runs `program` with skipping on and off and asserts every observable —
 /// report (field equality *and* float bit patterns), values, trace — is
 /// identical.
 fn assert_skip_equals_full<P: EdgeProgram>(program: &P, grid: &GridGraph, threads: usize) {
-    let (full_report, full_values, full_trace) = build(false, threads)
-        .run_with_trace(program, grid)
-        .expect("full-rescan run failed");
-    let (skip_report, skip_values, skip_trace) = build(true, threads)
-        .run_with_trace(program, grid)
-        .expect("skipping run failed");
+    let (full_report, full_values, full_trace) = run(program, grid, false, threads);
+    let (skip_report, skip_values, skip_trace) = run(program, grid, true, threads);
     let name = program.name();
     assert_eq!(full_report, skip_report, "{name}: report drifted");
     assert_eq!(

@@ -31,6 +31,16 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> golden reports"
 cargo test -q --test golden_reports
 
+echo "==> all_experiments --only (one binary for every experiment)"
+cargo build --release -p hyve-bench --bin all_experiments
+./target/release/all_experiments --only table3 | diff -u tests/golden/table3.txt -
+only_status=0
+./target/release/all_experiments --only nosuch 2>/dev/null || only_status=$?
+if [ "$only_status" -ne 2 ]; then
+  echo "all_experiments --only nosuch exited $only_status, expected 2" >&2
+  exit 1
+fi
+
 echo "==> trace smoke (run --trace, report, self-diff)"
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
