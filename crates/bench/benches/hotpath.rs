@@ -3,6 +3,9 @@
 //! * `edge_walk` — streaming all P² block slots through the edge store's
 //!   per-block iterator (a sparse-index lookup per slot) vs walking only the
 //!   non-empty blocks' column ranges, as the engine's block plan does,
+//! * `plan_order` — one PU's non-empty blocks walked in Algorithm 2's
+//!   schedule order (sy → sx → step), the access pattern of every
+//!   accumulate iteration, at PageRank's planned P,
 //! * `scratch` — a fresh per-iteration accumulator allocation vs refilling
 //!   a reused buffer (the accumulate-mode change),
 //! * `monotone_skip` — full BFS/SSSP/CC runs with dirty-interval skipping
@@ -13,10 +16,12 @@
 //! finer-grained view.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hyve_algorithms::{Bfs, ConnectedComponents, EdgeProgram, Sssp};
-use hyve_core::{SimulationSession, SystemConfig};
+use hyve_algorithms::{Bfs, ConnectedComponents, EdgeProgram, PageRank, Sssp};
+use hyve_core::{SimulationSession, SuperBlockSchedule, SystemConfig};
 use hyve_graph::{DatasetProfile, GridGraph, VertexId};
+use std::collections::HashMap;
 use std::hint::black_box;
+use std::ops::Range;
 
 const P: u32 = 64;
 
@@ -44,6 +49,44 @@ fn bench_edge_walk(c: &mut Criterion) {
             let mut acc = 0u64;
             for (_, range) in flat.block_ranges() {
                 for e in flat.edges_in(range) {
+                    acc += u64::from(e.src.raw()) + u64::from(e.dst.raw());
+                }
+            }
+            black_box(acc)
+        });
+    });
+    group.finish();
+}
+
+fn bench_plan_order(c: &mut Criterion) {
+    let graph = DatasetProfile::youtube_scaled().generate(2018);
+    let config = SystemConfig::hyve_opt();
+    let n = config.num_pus;
+    let session = SimulationSession::builder(config)
+        .build()
+        .expect("valid config");
+    let p = session.plan_intervals(&PageRank::new(10), graph.num_vertices());
+    let grid = GridGraph::partition(&graph, p).unwrap();
+    let store = grid.flat();
+    // PU 0's non-empty blocks in schedule order, as column ranges.
+    let ranges: HashMap<(u32, u32), Range<usize>> = store
+        .block_ranges()
+        .map(|(id, range)| ((id.src, id.dst), range))
+        .collect();
+    let schedule = SuperBlockSchedule::new(p, n).unwrap();
+    let walk: Vec<Range<usize>> = schedule
+        .iter()
+        .flat_map(|(_, assignments)| assignments)
+        .filter(|a| a.pu == 0)
+        .filter_map(|a| ranges.get(&(a.src_interval, a.dst_interval)).cloned())
+        .collect();
+    let mut group = c.benchmark_group(&format!("hotpath_plan_order_yt_p{p}"));
+    group.sample_size(20);
+    group.bench_function("pu0_blocks", |b| {
+        b.iter(|| {
+            let mut acc = 0u64;
+            for range in &walk {
+                for e in store.edges_in(range.clone()) {
                     acc += u64::from(e.src.raw()) + u64::from(e.dst.raw());
                 }
             }
@@ -112,6 +155,7 @@ fn bench_monotone_skip(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_edge_walk,
+    bench_plan_order,
     bench_scratch_reuse,
     bench_monotone_skip
 );

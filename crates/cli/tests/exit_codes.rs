@@ -65,3 +65,24 @@ fn sram_size_whose_byte_count_overflows_is_a_usage_error() {
         );
     }
 }
+
+#[test]
+fn graph_with_fewer_vertices_than_pus_exits_one_with_the_counts() {
+    // A 5-vertex path cannot give each of the 8 PUs an interval.
+    let dir = std::env::temp_dir().join("hyve-cli-exit-codes");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("path5.txt");
+    std::fs::write(&path, "0 1\n1 2\n2 3\n3 4\n").unwrap();
+    for config in [None, Some("acc-dram")] {
+        let mut args = vec!["run", "--alg", "bfs", "--input", path.to_str().unwrap()];
+        args.extend(config.iter().flat_map(|c| ["--config", *c]));
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("5 vertices < 8 processing units"),
+            "{stderr}"
+        );
+    }
+    std::fs::remove_file(path).ok();
+}

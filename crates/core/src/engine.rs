@@ -117,12 +117,17 @@ impl Engine {
 
     /// Picks the interval count `P` for a graph: the smallest multiple of
     /// the PU count such that `2·N` intervals (N source + N destination
-    /// sections) fit in on-chip memory. Configurations without on-chip
-    /// vertex memory use `P = N` (scheduling granularity only).
+    /// sections) fit in on-chip memory, capped at the largest multiple of
+    /// `N` that leaves every interval a vertex. Configurations without
+    /// on-chip vertex memory use `P = N` (scheduling granularity only). The
+    /// result is always a positive multiple of `N`; a graph with fewer
+    /// vertices than PUs gets `P = N`, which it cannot be partitioned into
+    /// (the session's `run_on_edge_list` rejects such a graph up front).
     pub(crate) fn plan_intervals<P: EdgeProgram>(&self, program: &P, num_vertices: u32) -> u32 {
         let n = self.config.num_pus;
+        let cap = (num_vertices / n * n).max(n);
         let Some(sram_mb) = self.config.sram_mb else {
-            return n.min(num_vertices.max(1));
+            return n;
         };
         let state_words = match program.mode() {
             // Accumulate programs keep value + accumulator resident.
@@ -135,12 +140,12 @@ impl Engine {
         // `validate` bounds `sram_mb` so the byte count cannot wrap.
         let sram_bytes = ((sram_mb << 20) / u64::from(self.config.dataset_scale)).max(1);
         // Wide arithmetic: `2·N·|V|·bytes` can pass u64, and `P` may only
-        // narrow to u32 after the cap at |V|.
+        // narrow to u32 after the cap.
         let needed = 2 * u128::from(n) * u128::from(num_vertices) * u128::from(bytes_per_vertex);
         let min_p = needed.div_ceil(u128::from(sram_bytes)).max(1);
-        // Round up to a multiple of N, cap at the vertex count.
+        // Round up to a multiple of N; the cap is one too.
         let p = min_p.div_ceil(u128::from(n)) * u128::from(n);
-        p.min(u128::from(num_vertices.max(1))) as u32
+        p.min(u128::from(cap)) as u32
     }
 
     /// Runs over an existing grid under an explicit [`ExecutionStrategy`],
@@ -395,13 +400,13 @@ impl Engine {
                 ExecutionMode::Accumulate => {
                     scratch.active = true;
                     // Accumulate mode walks every non-empty block
-                    // unconditionally.
+                    // unconditionally, so adjacent blocks stream as one run.
                     scratch.blocks_processed = plan.blocks(pu).len() as u64;
                     scratch.blocks_skipped = 0;
                     scratch.values.fill(program.identity());
                     let acc = &mut scratch.values;
-                    for block in plan.blocks(pu) {
-                        for e in store.edges_in(block.edges.clone()) {
+                    for run in plan.edge_runs(pu) {
+                        for e in store.edges_in(run) {
                             let msg = program.scatter(snapshot[e.src.index()], &e, meta);
                             acc[e.dst.index()] = program.merge(acc[e.dst.index()], msg);
                             if undirected {
@@ -798,10 +803,11 @@ mod tests {
     #[test]
     fn interval_planning_caps_at_the_vertex_count_before_narrowing() {
         // Scale u32::MAX leaves one byte of SRAM, so the minimum P passes
-        // u32::MAX; the cap at |V| must apply before the narrowing.
+        // u32::MAX; the cap (the largest multiple of N = 8 ≤ |V|) must apply
+        // before the narrowing.
         let session = engine_for(SystemConfig::hyve_opt().with_dataset_scale(u32::MAX));
         let nv = (1 << 25) + 1;
-        assert_eq!(session.plan_intervals(&PageRank::new(1), nv), nv);
+        assert_eq!(session.plan_intervals(&PageRank::new(1), nv), 1 << 25);
     }
 
     #[test]

@@ -145,46 +145,30 @@ impl BlockPlan {
     ) -> Self {
         debug_assert!(store.is_compact(), "plans walk the store's columns");
         let n = schedule.pus();
-        let p = schedule.intervals() as usize;
-        // Transpose the row-major index into destination columns: a stable
-        // counting sort, so sources ascend within each column.
-        let mut col_start = vec![0usize; p + 1];
-        for (id, _) in store.block_ranges() {
-            col_start[id.dst as usize + 1] += 1;
-        }
-        for i in 0..p {
-            col_start[i + 1] += col_start[i];
-        }
-        let mut next = col_start.clone();
-        let mut by_col = vec![
-            PlannedBlock {
-                src: 0,
-                dst: 0,
-                edges: 0..0
-            };
-            col_start[p]
-        ];
-        for (id, edges) in store.block_ranges() {
-            let slot = &mut next[id.dst as usize];
-            by_col[*slot] = PlannedBlock {
-                src: id.src,
-                dst: id.dst,
-                edges,
-            };
-            *slot += 1;
-        }
+        let p = schedule.intervals();
         // PU `pu` owns the destinations ≡ pu (mod N), one per super-block
         // row sy; within super block sx its step `t` reads source
-        // sx·N + (pu + t) mod N — so each sx group of a column is visited
-        // from source offset `pu` upwards, then wraps around.
+        // sx·N + (pu + t) mod N — so each sx group of a column (sources
+        // ascend in the store's index) is visited from source offset `pu`
+        // upwards, then wraps around.
         let pu_blocks = fan_out(strategy, n as usize, |pu| {
+            let pu = pu as u32;
             let mut blocks = Vec::new();
             for dst in (pu..p).step_by(n as usize) {
-                let column = &by_col[col_start[dst]..col_start[dst + 1]];
-                for group in column.chunk_by(|a, b| a.src / n == b.src / n) {
-                    let wrap = group.partition_point(|b| b.src % n < pu as u32);
-                    blocks.extend_from_slice(&group[wrap..]);
-                    blocks.extend_from_slice(&group[..wrap]);
+                let (srcs, starts) = store.column(dst);
+                let block = |k: usize| PlannedBlock {
+                    src: srcs[k],
+                    dst,
+                    edges: starts[k]..starts[k + 1],
+                };
+                let mut first = 0;
+                for group in srcs.chunk_by(|a, b| a / n == b / n) {
+                    let (wrap, end) = (
+                        first + group.partition_point(|&s| s % n < pu),
+                        first + group.len(),
+                    );
+                    blocks.extend((wrap..end).chain(first..wrap).map(block));
+                    first = end;
                 }
             }
             blocks
@@ -204,6 +188,21 @@ impl BlockPlan {
     /// The non-empty blocks PU `pu` executes, in schedule order.
     pub(crate) fn blocks(&self, pu: usize) -> &[PlannedBlock] {
         &self.pu_blocks[pu]
+    }
+
+    /// PU `pu`'s planned edges as column ranges, consecutive blocks whose
+    /// ranges touch merged into one: the same edges in the same order as
+    /// walking [`blocks`](Self::blocks) one by one, in fewer, longer
+    /// streams.
+    pub(crate) fn edge_runs(&self, pu: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+        let mut blocks = self.pu_blocks[pu].iter().peekable();
+        std::iter::from_fn(move || {
+            let mut run = blocks.next()?.edges.clone();
+            while let Some(b) = blocks.next_if(|b| b.edges.start == run.end) {
+                run.end = b.edges.end;
+            }
+            Some(run)
+        })
     }
 
     /// Σ over steps of the step's maximum block edge count.
@@ -305,11 +304,20 @@ mod tests {
         for (pu, expect) in dense.iter().enumerate() {
             let got: Vec<(u32, u32)> = plan.blocks(pu).iter().map(|b| (b.src, b.dst)).collect();
             assert_eq!(&got, expect, "PU {pu} order");
+            let mut walked = Vec::new();
             for b in plan.blocks(pu) {
                 let edges: Vec<_> = store.edges_in(b.edges.clone()).collect();
                 let direct: Vec<_> = store.block_edges(b.src, b.dst).collect();
                 assert_eq!(edges, direct);
+                walked.extend(edges);
             }
+            // The merged runs stream exactly the block-by-block walk, in
+            // fewer ranges wherever the PU's blocks sit side by side.
+            let runs: Vec<Range<usize>> = plan.edge_runs(pu).collect();
+            assert!(runs.windows(2).all(|w| w[0].end != w[1].start));
+            assert!(runs.len() < got.len(), "PU {pu}: some blocks merge");
+            let streamed: Vec<_> = runs.into_iter().flat_map(|r| store.edges_in(r)).collect();
+            assert_eq!(streamed, walked, "PU {pu} runs");
             planned += got.len();
         }
         assert_eq!(planned, grid.non_empty_blocks());

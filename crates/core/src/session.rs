@@ -182,7 +182,9 @@ impl SimulationSession {
 
     /// Picks the interval count `P` for a graph: the smallest multiple of
     /// the PU count such that `2·N` intervals fit in on-chip memory
-    /// (configurations without on-chip vertex memory use `P = N`).
+    /// (configurations without on-chip vertex memory use `P = N`), capped
+    /// at the largest multiple of `N` that is ≤ |V|. Always a positive
+    /// multiple of `N`, so a grid partitioned at it is schedulable.
     pub fn plan_intervals<P: EdgeProgram>(&self, program: &P, num_vertices: u32) -> u32 {
         self.engine.plan_intervals(program, num_vertices)
     }
@@ -230,7 +232,9 @@ impl SimulationSession {
     ///
     /// # Errors
     ///
-    /// Propagates partitioning errors.
+    /// [`CoreError::Unschedulable`] when the graph has fewer vertices than
+    /// the configuration has PUs; otherwise propagates partitioning and
+    /// [`run`](Self::run) errors.
     pub fn run_on_edge_list<P: EdgeProgram>(
         &self,
         program: &P,
@@ -245,13 +249,20 @@ impl SimulationSession {
     ///
     /// # Errors
     ///
-    /// Propagates partitioning errors.
+    /// Same as [`run_on_edge_list`](Self::run_on_edge_list).
     pub fn run_on_edge_list_with_values<P: EdgeProgram>(
         &self,
         program: &P,
         graph: &EdgeList,
     ) -> Result<(RunReport, Vec<P::Value>), CoreError> {
-        let p = self.plan_intervals(program, graph.num_vertices());
+        // Every PU needs an interval of at least one vertex.
+        let (nv, n) = (graph.num_vertices(), self.engine.config().num_pus);
+        if nv < n {
+            return Err(CoreError::Unschedulable {
+                message: format!("{nv} vertices < {n} processing units"),
+            });
+        }
+        let p = self.plan_intervals(program, nv);
         self.run_with_values(program, &GridGraph::partition(graph, p)?)
     }
 }
@@ -500,5 +511,30 @@ mod tests {
             let live = session.run_on_edge_list(&PageRank::new(2), &d.live_edge_list());
             assert_eq!(live.unwrap().edges_processed, 2 * 8);
         }
+    }
+
+    #[test]
+    fn planned_p_is_always_schedulable() {
+        // Scale u32::MAX leaves one byte of SRAM, so the SRAM bound asks for
+        // P far above |V|: the planner must cap at 16, the largest multiple
+        // of N = 8 that still leaves every interval a vertex.
+        let session =
+            SimulationSession::builder(SystemConfig::hyve_opt().with_dataset_scale(u32::MAX))
+                .build()
+                .unwrap();
+        let g = EdgeList::from_edges(20, (0..19).map(|v| Edge::new(v, v + 1))).unwrap();
+        assert_eq!(session.plan_intervals(&Bfs::new(VertexId::new(0)), 20), 16);
+        let (report, depth) = session
+            .run_on_edge_list_with_values(&Bfs::new(VertexId::new(0)), &g)
+            .unwrap();
+        assert_eq!(depth, (0..20).collect::<Vec<u32>>());
+        assert_eq!(report.edges_processed % 19, 0);
+        // Fewer vertices than PUs: no P schedules, and the error says why.
+        let tiny = EdgeList::from_edges(5, (0..4).map(|v| Edge::new(v, v + 1))).unwrap();
+        let err = session
+            .run_on_edge_list(&Bfs::new(VertexId::new(0)), &tiny)
+            .unwrap_err();
+        assert!(matches!(err, CoreError::Unschedulable { .. }), "{err}");
+        assert!(err.to_string().contains("5 vertices < 8 processing units"));
     }
 }

@@ -127,7 +127,8 @@ impl DynamicGrid {
     }
 
     /// Flattens the grid to an edge list, excluding edges incident to
-    /// tombstoned vertices.
+    /// tombstoned vertices. Edges come in the grid's destination-major
+    /// block order ([`GridGraph::iter_edges`]).
     pub fn live_edge_list(&self) -> crate::edgelist::EdgeList {
         let capacity = self.grid.num_edges() as usize;
         let mut list = crate::edgelist::EdgeList::with_capacity(self.logical_vertices, capacity);

@@ -2,12 +2,12 @@
 //! (paper Fig. 1 right, §3.4 data organisation).
 //!
 //! The grid is a vertex partition plus one [`EdgeStore`]: contiguous edge
-//! columns in block order behind a sparse index of the non-empty blocks, so
-//! partitioning, storage and every walk over the grid cost O(E + P), never
-//! O(P²). Dynamic updates (§5) go through [`DynamicGrid`](crate::DynamicGrid)
-//! and write the store's columns in place; a touched block's edges past its
-//! column slots, and its reserved slack (default 30%), sit in a small
-//! per-block overlay.
+//! columns in destination-major block order behind a sparse index of the
+//! non-empty blocks, so partitioning, storage and every walk over the grid
+//! cost O(E + P), never O(P²). Dynamic updates (§5) go through
+//! [`DynamicGrid`](crate::DynamicGrid) and write the store's columns in
+//! place; a touched block's edges past its column slots, and its reserved
+//! slack (default 30%), sit in a small per-block overlay.
 
 use crate::edgelist::EdgeList;
 use crate::error::GraphError;
@@ -110,7 +110,9 @@ impl GridGraph {
         self.store.non_empty_blocks()
     }
 
-    /// Iterates over every edge of the grid, block by block (row-major).
+    /// Iterates over every edge of the grid, block by block
+    /// (destination-major: destination interval, then source interval;
+    /// edge-list order inside a block).
     pub fn iter_edges(&self) -> impl Iterator<Item = Edge> + '_ {
         self.store.iter_edges()
     }
@@ -184,17 +186,17 @@ mod tests {
         assert_eq!(grid.num_edges(), 11);
         // Paper Fig. 1: B0.0 = {1->0}, B0.3 = {0->7}, B1.1 = {2->3},
         // B1.2 = {2->4, 3->4}, B1.3 = {3->7}, B2.0 = {4->1}, B2.2 = {4->5},
-        // B3.0 = {6->0, 7->1}, B3.1 = {6->2}.
+        // B3.0 = {6->0, 7->1}, B3.1 = {6->2}; listed destination-major.
         let expect = [
             ((0, 0), 1),
-            ((0, 3), 1),
-            ((1, 1), 1),
-            ((1, 2), 2),
-            ((1, 3), 1),
             ((2, 0), 1),
-            ((2, 2), 1),
             ((3, 0), 2),
+            ((1, 1), 1),
             ((3, 1), 1),
+            ((1, 2), 2),
+            ((2, 2), 1),
+            ((0, 3), 1),
+            ((1, 3), 1),
         ];
         let blocks: Vec<_> = grid
             .flat()
@@ -347,9 +349,27 @@ mod tests {
             .block_ranges()
             .map(|(id, r)| (id, r.len()))
             .collect();
-        assert_eq!(ranges[3], (BlockId::new(1, 2), 4));
-        assert_eq!(ranges[6], (BlockId::new(2, 1), 1));
-        assert_eq!(ranges[8], (BlockId::new(3, 0), 2));
+        assert_eq!(ranges[6], (BlockId::new(1, 2), 4));
+        assert_eq!(ranges[4], (BlockId::new(2, 1), 1));
+        assert_eq!(ranges[2], (BlockId::new(3, 0), 2));
+    }
+
+    #[test]
+    fn out_degrees_count_every_edge_and_cover_padding_slots() {
+        let mut grid = GridGraph::partition(&fig1(), 4).unwrap();
+        // Endpoints in padding slots 8 and 9 (≥ |V|), in the blocks a grown
+        // `DynamicGrid` assigns them (slot − |V| mod P).
+        grid.store.push_edge(0, 3, Edge::new(8, 7));
+        grid.store.push_edge(0, 1, Edge::new(1, 9));
+        let mut expect = vec![0u32; 10];
+        for e in grid.iter_edges() {
+            expect[e.src.index()] += 1;
+        }
+        let compact = grid.flatten();
+        assert_eq!(compact.out_degrees(), expect);
+        assert_eq!(grid.flat().out_degrees(), expect, "pending updates");
+        let plain = GridGraph::partition(&fig1(), 4).unwrap();
+        assert_eq!(plain.flat().out_degrees(), fig1().out_degrees());
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //!
 //! * [`EdgeList`] / [`Csr`] — basic containers,
 //! * [`GridGraph`] — the interval-block (P×P) partitioning of §2.1/Fig. 1,
-//!   backed by one [`EdgeStore`]: `src`/`dst`/`weight` columns in block
-//!   order (§3.4's contiguous edge array), a *sparse* index of the non-empty
-//!   blocks (one row offset per source interval, then a destination
-//!   interval and column start per block), and a small overlay of the
+//!   backed by one [`EdgeStore`]: `src`/`dst`/`weight` columns in
+//!   destination-major block order (§3.4's contiguous edge array, laid out
+//!   in the order Algorithm 2 walks it), a *sparse* index of the non-empty
+//!   blocks (one offset per destination interval, then a source interval
+//!   and column start per block), and a small overlay of the
 //!   blocks dynamic updates touched (live length, appended tail, slack).
 //!   Partitioning, storage and walks cost O(E + P), never O(P²),
 //! * [`DynamicGrid`] — the O(1) add/delete working flow for evolving graphs

@@ -3,14 +3,16 @@
 //! The layout is the paper's §3.4 edge memory taken literally — block
 //! headers plus one contiguous edge array — with the headers kept *sparse*:
 //!
-//! * **Columns.** `src`/`dst`/`weight` in row-major block order (source
-//!   interval, then destination interval); inside a block, edges keep
-//!   edge-list order. Built by a stable two-pass counting sort (by
-//!   destination interval, then by source interval) in O(E + P).
-//! * **Block index.** One row offset per source interval, then one
-//!   (destination interval, column start) pair per *non-empty* block. Empty
-//!   blocks cost nothing, so memory is O(E + P) for any `P` — including the
-//!   pathological `P = |V|`.
+//! * **Columns.** `src`/`dst`/`weight` in destination-major block order
+//!   (destination interval, then source interval) — the order Algorithm 2's
+//!   processing units walk them, so a PU's blocks are mostly one contiguous
+//!   stream; inside a block, edges keep edge-list order. Built by a stable
+//!   two-pass counting sort (by source interval, then by destination
+//!   interval) in O(E + P).
+//! * **Block index.** One offset per destination interval (its column of
+//!   blocks), then one (source interval, column start) pair per *non-empty*
+//!   block. Empty blocks cost nothing, so memory is O(E + P) for any `P` —
+//!   including the pathological `P = |V|`.
 //! * **In-place updates.** §5 writes land where the edge lives: an added
 //!   edge fills its block's next dead column slot, and a deleted edge is
 //!   overwritten by the block's last edge, directly in the columns. A small
@@ -31,7 +33,7 @@ use std::ops::Range;
 /// (§5: "e.g., 30% of a block size").
 pub const DEFAULT_RESERVE_FRACTION: f64 = 0.30;
 
-/// The edge columns, row-major by block, in one buffer: `src` in
+/// The edge columns, destination-major by block, in one buffer: `src` in
 /// `[0, n)`, `dst` in `[n, 2n)` and the weights' bits in `[2n, 3n)`.
 #[derive(Debug, Clone, Default)]
 struct Columns {
@@ -61,6 +63,10 @@ impl Columns {
             (*s, *d, *w) = (t[0], t[1], t[2]);
         }
         Columns { data: buffer, n }
+    }
+
+    fn src(&self) -> &[u32] {
+        &self.data[..self.n]
     }
 
     fn dst(&self) -> &[u32] {
@@ -215,7 +221,8 @@ impl std::fmt::Debug for BlockEdges<'_> {
 enum Slot {
     /// Position in the sparse index.
     Indexed(usize),
-    /// Row-major linear id of a block the index does not list.
+    /// Destination-major linear id (`dst·P + src`) of a block the index
+    /// does not list.
     Fresh(u64),
 }
 
@@ -256,24 +263,41 @@ impl Overlay {
     }
 }
 
-/// The sparse block index: the non-empty blocks, row-major.
+/// The sparse block index: the non-empty blocks, destination-major.
 #[derive(Debug, Clone, Default)]
 struct BlockIndex {
-    /// `rows[i]..rows[i + 1]` are the blocks of source interval `i`.
-    rows: Vec<usize>,
-    /// Destination interval of each listed block.
-    dst: Vec<u32>,
+    /// `cols[j]..cols[j + 1]` are the blocks of destination interval `j`.
+    cols: Vec<usize>,
+    /// Source interval of each listed block.
+    src: Vec<u32>,
     /// Column start of each listed block, then the column length.
     start: Vec<usize>,
 }
 
 impl BlockIndex {
     /// Position of block (src, dst) in the index, if listed — a binary
-    /// search in the source interval's row.
+    /// search in the destination interval's column of blocks.
     fn position(&self, src: u32, dst: u32) -> Option<usize> {
-        let row = self.rows[src as usize]..self.rows[src as usize + 1];
-        let i = self.dst[row.clone()].binary_search(&dst).ok()?;
-        Some(row.start + i)
+        let col = self.cols[dst as usize]..self.cols[dst as usize + 1];
+        let i = self.src[col.clone()].binary_search(&src).ok()?;
+        Some(col.start + i)
+    }
+
+    /// Opens a block of source interval `src` at column slot `start` in
+    /// destination interval `dst`, after every block listed so far.
+    fn push(&mut self, src: u32, dst: u32, start: usize) {
+        while self.cols.len() <= dst as usize {
+            self.cols.push(self.src.len());
+        }
+        self.src.push(src);
+        self.start.push(start);
+    }
+
+    /// Closes the index of a `p`-interval grid whose columns hold `len`
+    /// slots.
+    fn finish(&mut self, p: u32, len: usize) {
+        self.cols.resize(p as usize + 1, self.src.len());
+        self.start.push(len);
     }
 
     /// Column range of the listed block at `k`.
@@ -308,55 +332,54 @@ pub struct EdgeStore {
 
 impl EdgeStore {
     /// Lays `g`'s edges out under `partition` in O(E + P): a stable
-    /// counting sort by destination interval, then one by source interval.
+    /// counting sort by source interval, then one by destination interval.
     pub(crate) fn build(g: &EdgeList, partition: &IntervalPartition) -> Self {
         let p = partition.num_intervals() as usize;
         let interval = |v: u32| partition.interval_of(VertexId::new(v)) as usize;
         let ne = g.len();
         // Both passes' bucket bounds, from one scan.
-        let (mut dst_next, mut row_next) = (vec![0usize; p + 1], vec![0usize; p + 1]);
+        let (mut src_next, mut col_next) = (vec![0usize; p + 1], vec![0usize; p + 1]);
         for e in g.iter() {
-            dst_next[interval(e.dst.raw()) + 1] += 1;
-            row_next[interval(e.src.raw()) + 1] += 1;
+            src_next[interval(e.src.raw()) + 1] += 1;
+            col_next[interval(e.dst.raw()) + 1] += 1;
         }
         for i in 0..p {
-            dst_next[i + 1] += dst_next[i];
-            row_next[i + 1] += row_next[i];
+            src_next[i + 1] += src_next[i];
+            col_next[i + 1] += col_next[i];
         }
-        let row_bounds = row_next.clone();
-        // Pass 1: by destination interval.
-        let mut by_dst = vec![[0u32; 3]; ne];
+        let col_bounds = col_next.clone();
+        // Pass 1: by source interval.
+        let mut by_src = vec![[0u32; 3]; ne];
         for e in g.iter() {
-            let d = interval(e.dst.raw());
-            by_dst[dst_next[d]] = triple(e);
-            dst_next[d] += 1;
+            let s = interval(e.src.raw());
+            by_src[src_next[s]] = triple(e);
+            src_next[s] += 1;
         }
-        // Pass 2: by source interval. Stability keeps each row in ascending
-        // destination interval and each block in edge-list order.
+        // Pass 2: by destination interval. Stability keeps each column in
+        // ascending source interval and each block in edge-list order.
         let mut sorted = vec![[0u32; 3]; ne];
-        for t in &by_dst {
-            let r = interval(t[0]);
-            sorted[row_next[r]] = *t;
-            row_next[r] += 1;
+        for t in &by_src {
+            let c = interval(t[1]);
+            sorted[col_next[c]] = *t;
+            col_next[c] += 1;
         }
         // The pass-1 buffer is dead: the columns reuse its memory.
-        let cols = Columns::transpose(&sorted, by_dst.into_flattened());
+        let cols = Columns::transpose(&sorted, by_src.into_flattened());
         drop(sorted);
-        // The sparse index: a block opens wherever a row meets a new
-        // destination interval.
+        // The sparse index: a block opens wherever a column meets a new
+        // source interval.
         let mut index = BlockIndex::default();
-        for row in row_bounds.windows(2) {
-            index.rows.push(index.dst.len());
-            for (k, &v) in (row[0]..).zip(&cols.dst()[row[0]..row[1]]) {
-                let d = interval(v) as u32;
-                if k == row[0] || index.dst.last() != Some(&d) {
-                    index.dst.push(d);
-                    index.start.push(k);
+        for (dst, col) in (0..).zip(col_bounds.windows(2)) {
+            let mut open = None;
+            for (k, &v) in (col[0]..).zip(&cols.src()[col[0]..col[1]]) {
+                let s = interval(v) as u32;
+                if open != Some(s) {
+                    index.push(s, dst, k);
+                    open = Some(s);
                 }
             }
         }
-        index.rows.push(index.dst.len());
-        index.start.push(ne);
+        index.finish(p as u32, ne);
         EdgeStore {
             p: p as u32,
             num_vertices: partition.num_vertices(),
@@ -385,7 +408,7 @@ impl EdgeStore {
     /// Number of blocks holding at least one edge.
     pub fn non_empty_blocks(&self) -> usize {
         if self.is_compact() {
-            self.index.dst.len()
+            self.index.src.len()
         } else {
             self.blocks().count()
         }
@@ -404,7 +427,7 @@ impl EdgeStore {
             src < p && dst < p,
             "block ({src},{dst}) out of a {p}x{p} grid"
         );
-        let key = u64::from(src) * u64::from(p) + u64::from(dst);
+        let key = u64::from(dst) * u64::from(p) + u64::from(src);
         self.index
             .position(src, dst)
             .map_or(Slot::Fresh(key), Slot::Indexed)
@@ -426,7 +449,7 @@ impl EdgeStore {
     /// writes into and its column slots.
     fn touch(&mut self, slot: Slot) -> (&mut TouchedBlock, &mut Columns, Range<usize>) {
         let base = self.base(slot);
-        let block = self.overlay.touch(slot, self.index.dst.len(), base.len());
+        let block = self.overlay.touch(slot, self.index.src.len(), base.len());
         (block, &mut self.cols, base)
     }
 
@@ -449,23 +472,43 @@ impl EdgeStore {
         self.block_edges(src, dst).len()
     }
 
-    /// The indexed non-empty blocks and their column ranges, row-major.
-    /// The ranges know nothing of blocks' live lengths or tails, so call it
-    /// on a [compact](Self::is_compact) store.
+    /// The indexed non-empty blocks of destination interval `dst`: their
+    /// source intervals, ascending, and their column starts followed by
+    /// the end of the last, so block `k` holds the column slots
+    /// `starts[k]..starts[k + 1]` and the blocks tile one contiguous range.
+    /// Like [`block_ranges`](Self::block_ranges), call it on a
+    /// [compact](Self::is_compact) store.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` ≥ P.
+    pub fn column(&self, dst: u32) -> (&[u32], &[usize]) {
+        let index = &self.index;
+        let blocks = index.cols[dst as usize]..index.cols[dst as usize + 1];
+        (
+            &index.src[blocks.clone()],
+            &index.start[blocks.start..=blocks.end],
+        )
+    }
+
+    /// The indexed non-empty blocks and their column ranges,
+    /// destination-major. The ranges know nothing of blocks' live lengths
+    /// or tails, so call it on a [compact](Self::is_compact) store.
     pub fn block_ranges(&self) -> impl Iterator<Item = (BlockId, Range<usize>)> + '_ {
-        (0..self.p).flat_map(move |src| {
-            let index = &self.index;
-            (index.rows[src as usize]..index.rows[src as usize + 1]).map(move |k| {
-                let id = BlockId::new(src, index.dst[k]);
-                (id, index.start[k]..index.start[k + 1])
-            })
+        (0..self.p).flat_map(move |dst| {
+            let (srcs, starts) = self.column(dst);
+            let ranges = starts.windows(2).map(|w| w[0]..w[1]);
+            srcs.iter()
+                .zip(ranges)
+                .map(move |(&src, range)| (BlockId::new(src, dst), range))
         })
     }
 
-    /// Every non-empty block with its edges, row-major, overlay included.
+    /// Every non-empty block with its edges, destination-major, overlay
+    /// included.
     pub fn blocks(&self) -> impl Iterator<Item = (BlockId, BlockEdges<'_>)> + '_ {
         let p = u64::from(self.p);
-        let key = move |id: BlockId| u64::from(id.src) * p + u64::from(id.dst);
+        let key = move |id: BlockId| u64::from(id.dst) * p + u64::from(id.src);
         let mut fresh: Vec<(u64, &TouchedBlock)> =
             self.overlay.fresh.iter().map(|(&k, t)| (k, t)).collect();
         fresh.sort_unstable_by_key(|&(k, _)| k);
@@ -484,7 +527,7 @@ impl EdgeStore {
                 }
                 _ => {
                     let (k, t) = fresh.next()?;
-                    let id = BlockId::new((k / p) as u32, (k % p) as u32);
+                    let id = BlockId::new((k % p) as u32, (k / p) as u32);
                     (id, self.cols.view(0..0, Some(t)))
                 }
             };
@@ -494,7 +537,7 @@ impl EdgeStore {
         })
     }
 
-    /// Every edge in row-major block order, overlay included.
+    /// Every edge in destination-major block order, overlay included.
     pub fn iter_edges(&self) -> impl Iterator<Item = Edge> + '_ {
         self.blocks().flat_map(|(_, edges)| edges)
     }
@@ -505,19 +548,22 @@ impl EdgeStore {
         self.cols.edges(range)
     }
 
-    /// Out-degree of every vertex. An edge with either endpoint in a
-    /// reserved padding slot beyond the vertex count (dynamic updates) grows
-    /// the vector to cover that slot rather than panic, so a result longer
-    /// than [`num_vertices`](Self::num_vertices) flags such edges.
+    /// Out-degree of every vertex: one pass over the `src` and `dst`
+    /// columns (a store with pending updates is compacted first). An edge
+    /// with either endpoint in a reserved padding slot beyond the vertex
+    /// count (dynamic updates) grows the vector to cover that slot rather
+    /// than panic, so a result longer than
+    /// [`num_vertices`](Self::num_vertices) flags such edges.
     pub fn out_degrees(&self) -> Vec<u32> {
-        let mut deg = vec![0u32; self.num_vertices as usize];
-        self.iter_edges().for_each(|e| {
-            let top = e.src.index().max(e.dst.index());
-            if top >= deg.len() {
-                deg.resize(top + 1, 0);
-            }
-            deg[e.src.index()] += 1;
-        });
+        if !self.is_compact() {
+            return self.compacted().out_degrees();
+        }
+        let (src, dst) = (self.cols.src(), self.cols.dst());
+        let top = src.iter().chain(dst).max().map_or(0, |&v| v as usize + 1);
+        let mut deg = vec![0u32; top.max(self.num_vertices as usize)];
+        for &s in src {
+            deg[s as usize] += 1;
+        }
         deg
     }
 
@@ -528,15 +574,10 @@ impl EdgeStore {
         let mut index = BlockIndex::default();
         let mut triples = Vec::with_capacity(self.num_edges as usize);
         for (id, edges) in self.blocks() {
-            while index.rows.len() <= id.src as usize {
-                index.rows.push(index.dst.len());
-            }
-            index.dst.push(id.dst);
-            index.start.push(triples.len());
+            index.push(id.src, id.dst, triples.len());
             triples.extend(edges.map(|e| triple(&e)));
         }
-        index.rows.resize(self.p as usize + 1, index.dst.len());
-        index.start.push(triples.len());
+        index.finish(self.p, triples.len());
         EdgeStore {
             cols: Columns::transpose(&triples, Vec::new()),
             index,

@@ -64,8 +64,8 @@ proptest! {
 
     /// The sparse store holds exactly a naive dense bucketing: every one of
     /// the P² blocks has the same edge sequence (edge-list order kept), the
-    /// index lists precisely the non-empty blocks row-major, and their
-    /// column ranges tile the columns. P runs up to |V|; the empty graph
+    /// index lists precisely the non-empty blocks destination-major, and
+    /// their column ranges tile the columns. P runs up to |V|; the empty graph
     /// and both schemes are covered.
     #[test]
     fn store_matches_dense_bucketing(g in arb_graph(), p in 1u32..200,
@@ -88,7 +88,11 @@ proptest! {
             prop_assert_eq!(&got, expect, "block ({}, {})", s, d);
         }
         let listed: Vec<usize> = store.blocks().map(|(id, _)| id.linear(p)).collect();
-        let non_empty: Vec<usize> = (0..dense.len()).filter(|&i| !dense[i].is_empty()).collect();
+        let p_us = p as usize;
+        let non_empty: Vec<usize> = (0..dense.len())
+            .map(|i| (i % p_us) * p_us + i / p_us)
+            .filter(|&i| !dense[i].is_empty())
+            .collect();
         prop_assert_eq!(&listed, &non_empty);
         prop_assert_eq!(grid.non_empty_blocks(), non_empty.len());
         let mut end = 0;
@@ -102,6 +106,41 @@ proptest! {
             grid.edge_storage_bits(),
             96 * u64::from(p).pow(2) + 64 * g.len() as u64
         );
+    }
+
+    /// The columns are destination-major: each destination interval's
+    /// non-empty blocks, sources strictly ascending, tile one contiguous
+    /// column range holding exactly the edges into that interval, and the
+    /// ranges follow one another in destination order.
+    #[test]
+    fn destination_columns_tile_contiguous_ranges(g in arb_graph(), p in 1u32..64,
+                                                  round_robin in proptest::bool::ANY) {
+        let p = p.min(g.num_vertices());
+        let scheme = if round_robin {
+            PartitionScheme::RoundRobin
+        } else {
+            PartitionScheme::Contiguous
+        };
+        let grid = GridGraph::partition_with_scheme(&g, p, scheme).unwrap();
+        let part = grid.partition_info();
+        let store = grid.flat();
+        let mut end = 0;
+        for dst in 0..p {
+            let (srcs, starts) = store.column(dst);
+            prop_assert_eq!(starts.len(), srcs.len() + 1);
+            prop_assert_eq!(starts[0], end, "column {} starts where the last ended", dst);
+            prop_assert!(srcs.windows(2).all(|w| w[0] < w[1]), "sources ascend in {}", dst);
+            for (k, &src) in srcs.iter().enumerate() {
+                let slots: Vec<Edge> = store.edges_in(starts[k]..starts[k + 1]).collect();
+                let block: Vec<Edge> = store.block_edges(src, dst).collect();
+                prop_assert!(!slots.is_empty());
+                prop_assert_eq!(slots, block);
+            }
+            end = starts[srcs.len()];
+            let into = g.iter().filter(|e| part.interval_of(e.dst) == dst).count();
+            prop_assert_eq!(end - starts[0], into);
+        }
+        prop_assert_eq!(end, g.len());
     }
 
     /// The store's overlay keeps the §5 block semantics exactly: replaying

@@ -2,7 +2,8 @@
 # Appends one hot-path speedup measurement (legacy AoS engine loop vs the
 # flat-SoA/scratch/skip engine) to BENCH_hotpath.json at the repo root.
 # Each line is a self-contained JSON object stamped with the current git
-# revision, so the file accumulates a performance trajectory across commits.
+# revision (suffixed `-dirty` when measured on uncommitted changes), so the
+# file accumulates a performance trajectory across commits.
 #
 # Usage: scripts/bench_report.sh [output-file]
 # Env:   HYVE_BENCH_SMALL=1 switches from the largest dataset (TW) to YT
@@ -19,7 +20,7 @@ if [ -n "${HYVE_TRACE_DIR:-}" ]; then
   mkdir -p "$HYVE_TRACE_DIR"
 fi
 
-HOTPATH_REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+HOTPATH_REV="$(git describe --always --dirty 2>/dev/null || echo unknown)"
 HOTPATH_UTC="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 export HOTPATH_REV HOTPATH_UTC
 
